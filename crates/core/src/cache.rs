@@ -45,7 +45,7 @@ impl EvictionPolicy {
 
 /// A cached object: its hash indexes plus accounting size.
 pub struct CacheSlot {
-    /// Filtered rows + hash indexes of the segment.
+    /// Filter survivors + hash indexes of the shared segment.
     pub index: SegmentIndex,
     /// Logical bytes charged against cache capacity.
     pub bytes: u64,
@@ -240,7 +240,7 @@ mod tests {
     fn slot(bytes: u64) -> CacheSlot {
         let seg = Segment::new(Schema::of(&[("k", DataType::Int)]), vec![row![1i64]]).unwrap();
         CacheSlot {
-            index: SegmentIndex::build(&seg, None, &[0]),
+            index: SegmentIndex::build(std::sync::Arc::new(seg), None, &[0]),
             bytes,
         }
     }

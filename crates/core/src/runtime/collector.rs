@@ -84,6 +84,26 @@ impl QueryRecord {
     }
 }
 
+/// Per-query sums streamed as each query finishes. They are kept in
+/// every [`RecordMode`], so the summary helpers on [`RunResult`] read
+/// the same values whether or not the records themselves survive (the
+/// query count is [`LatencySummary::fleet`]'s).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryTotals {
+    /// GETs the finished queries issued.
+    pub gets: u64,
+    /// Sum of their execution times ([`QueryRecord::duration`]).
+    pub duration: SimDuration,
+}
+
+impl QueryTotals {
+    /// Adds one finished query.
+    pub fn observe(&mut self, record: &QueryRecord) {
+        self.gets += record.stats.gets_issued;
+        self.duration += record.duration();
+    }
+}
+
 /// In-flight measurement state for one query.
 #[derive(Default)]
 pub struct RecordDraft {
@@ -404,7 +424,7 @@ pub enum RecordMode {
     Full,
     /// Drop records as they finish; [`RunResult::clients`] comes back
     /// with empty per-client lists and only the streaming summaries
-    /// (latency, device counters, makespan) survive.
+    /// (latency, [`QueryTotals`], device counters, makespan) survive.
     Counters,
 }
 
@@ -655,6 +675,9 @@ pub struct RunResult {
     /// percentiles and SLO attainment, fleet-wide and per tenant.
     /// Populated in every [`RecordMode`] (the sketches stream).
     pub latency: LatencySummary,
+    /// GETs and execution-time sum, streamed in every [`RecordMode`];
+    /// the summary helpers below read these.
+    pub totals: QueryTotals,
     /// Fault-plane summary: downtime, evacuations, failovers, and the
     /// fleet's availability fraction (1.0 on fault-free runs).
     pub availability: AvailabilitySummary,
@@ -696,27 +719,23 @@ impl RunResult {
     /// Mean per-query execution time in seconds (the paper's
     /// "average execution time" y-axis).
     pub fn mean_query_secs(&self) -> f64 {
-        let (mut total, mut n) = (0.0, 0u32);
-        for r in self.records() {
-            total += r.duration().as_secs_f64();
-            n += 1;
-        }
+        let n = self.latency.fleet.count;
         if n == 0 {
             0.0
         } else {
-            total / n as f64
+            self.cumulative_secs() / n as f64
         }
     }
 
     /// Sum of all query execution times in seconds ("cumulative
     /// execution time").
     pub fn cumulative_secs(&self) -> f64 {
-        self.records().map(|r| r.duration().as_secs_f64()).sum()
+        self.totals.duration.as_secs_f64()
     }
 
     /// Total GETs issued across all queries (the Figure 11 right axis).
     pub fn total_gets(&self) -> u64 {
-        self.records().map(|r| r.stats.gets_issued).sum()
+        self.totals.gets
     }
 
     /// Per-query stretches against one uniform ideal (single-tenant)

@@ -36,8 +36,8 @@ use crate::config::CostModel;
 
 use super::client::{ClientState, PlannedQuery};
 use super::collector::{
-    attribute_stalls_merged, AvailabilitySummary, LatencyAccumulator, RecordMode, RunResult,
-    ShardResult,
+    attribute_stalls_merged, AvailabilitySummary, LatencyAccumulator, QueryTotals, RecordMode,
+    RunResult, ShardResult,
 };
 use super::fault::{FaultAction, TimedFault};
 use super::fleet::DeviceFleet;
@@ -140,6 +140,8 @@ pub struct Runtime {
     /// order is bit-identical across execution modes, so the summary
     /// is too).
     latency: LatencyAccumulator,
+    /// Streaming GETs and execution-time sum of finished queries.
+    totals: QueryTotals,
     /// Whether finished records are retained for the result.
     record_mode: RecordMode,
     /// The expanded fault schedule, in firing order (empty without a
@@ -200,6 +202,7 @@ impl Runtime {
             interactions: HorizonTracker::new(),
             window_end: SimTime::ZERO,
             latency: LatencyAccumulator::new(&targets),
+            totals: QueryTotals::default(),
             record_mode: RecordMode::default(),
             faults: Vec::new(),
             power: PowerModel::default(),
@@ -546,6 +549,7 @@ impl Runtime {
             shards,
             makespan,
             latency,
+            totals: self.totals,
             availability,
             cache,
             energy,
@@ -825,13 +829,13 @@ impl Runtime {
             self.protection_summary.per_tenant[c].completed += 1;
             self.query_attempts[c] = 0;
             self.clear_hedge(c);
-            let response = self.clients[c]
+            let record = &self.clients[c]
                 .records
                 .last()
                 .expect("finish pushed a record")
-                .record
-                .response_time();
-            self.latency.observe(c, response);
+                .record;
+            self.totals.observe(record);
+            self.latency.observe(c, record.response_time());
             if self.record_mode == RecordMode::Counters {
                 // Counters mode: the sketches above are the only
                 // survivors; drop the record before it accumulates.

@@ -440,8 +440,8 @@ pub mod scenario;
 pub mod workload;
 
 pub use collector::{
-    AvailabilitySummary, LatencyScope, LatencySummary, Quantiles, QueryRecord, RecordMode,
-    RunResult, ShardFaultStats, ShardResult, SloReport, StreamRollup,
+    AvailabilitySummary, LatencyScope, LatencySummary, Quantiles, QueryRecord, QueryTotals,
+    RecordMode, RunResult, ShardFaultStats, ShardResult, SloReport, StreamRollup,
 };
 pub use driver::ExecutionMode;
 pub use engines::{EngineFactory, EngineKind, SkipperFactory, VanillaFactory};

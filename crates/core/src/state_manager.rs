@@ -240,7 +240,7 @@ impl QueryEngine for SkipperEngine {
             // Scan + filter + symmetric-hash build (charged at logical
             // scale).
             let index = SegmentIndex::build(
-                payload,
+                Arc::clone(payload),
                 self.spec.filters[rel].as_ref(),
                 &self.join_cols[rel],
             );

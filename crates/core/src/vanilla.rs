@@ -8,9 +8,12 @@
 //! of group switches, giving the `S × C × D` blow-up of Figure 4).
 //!
 //! Each object traverses the FUSE interposition layer (charged per
-//! Table 3); scans and hash builds are charged as segments arrive, and
-//! the final result is computed with the real left-deep binary hash join
-//! over the fetched data.
+//! Table 3). Each segment is filtered once, when it arrives: the engine
+//! keeps the shared segment with the positions of its filter survivors,
+//! and scans and hash builds are charged then. The final result is
+//! computed with the real left-deep binary hash join over those
+//! survivors ([`binary::join_filtered`]), so no segment is copied and no
+//! row is filtered twice.
 
 use std::sync::Arc;
 
@@ -35,8 +38,9 @@ pub struct VanillaEngine {
     /// The strict fetch sequence (plan order × segment order).
     sequence: Vec<ObjectId>,
     next: usize,
-    /// Received segments per query relation.
-    received: Vec<Vec<Arc<Segment>>>,
+    /// Received segments per query relation, each with the positions of
+    /// its filter survivors.
+    received: Vec<Vec<(Arc<Segment>, Vec<u32>)>>,
     stats: EngineStats,
     finished: bool,
     result: Vec<(Row, Vec<Value>)>,
@@ -111,7 +115,6 @@ impl QueryEngine for VanillaEngine {
         );
         let rel = self.proxy.rel_of(object).expect("own delivery");
         self.stats.objects_received += 1;
-        self.received[rel].push(payload.clone());
 
         // FUSE traversal + scan, charged at logical scale.
         let scale = self.scales[rel];
@@ -123,7 +126,9 @@ impl QueryEngine for VanillaEngine {
 
         // Hash-build (build-side relations) or probe (the last plan
         // relation) over the filter survivors.
-        let kept = scan::count_matching(payload, self.spec.filters[rel].as_ref()) as u64;
+        let (survivors, _) = scan::scan(payload, self.spec.filters[rel].as_ref());
+        let kept = survivors.len() as u64;
+        self.received[rel].push((Arc::clone(payload), survivors));
         let is_probe_side = *self.spec.plan_order.last().unwrap() == rel;
         if is_probe_side {
             self.stats.probe_ops += kept;
@@ -139,15 +144,9 @@ impl QueryEngine for VanillaEngine {
             self.next += 1;
             self.stats.gets_issued += 1;
         } else {
-            // All inputs resident: run the real blocking join for the
-            // result and charge the emit cost.
-            let slices: Vec<Vec<Segment>> = self
-                .received
-                .iter()
-                .map(|segs| segs.iter().map(|s| Segment::clone(s)).collect())
-                .collect();
-            let refs: Vec<&[Segment]> = slices.iter().map(|v| v.as_slice()).collect();
-            let (agg, work) = binary::execute_left_deep(&self.spec, &refs);
+            // All inputs resident: run the real blocking join over the
+            // survivors for the result and charge the emit cost.
+            let (agg, work) = binary::join_filtered(&self.spec, &self.received);
             self.stats.emitted_rows += work.emitted as u64;
             processing += self.cost.scaled(
                 work.emitted as u64,

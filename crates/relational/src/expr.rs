@@ -6,6 +6,7 @@
 //! counts). Expressions over *joined* rows live in
 //! [`crate::query::JoinExpr`].
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::tuple::Row;
@@ -150,44 +151,12 @@ impl Expr {
         match self {
             Expr::Col(idx) => row.get(*idx).clone(),
             Expr::Lit(v) => v.clone(),
-            Expr::Cmp(op, l, r) => {
-                let lv = l.eval(row);
-                let rv = r.eval(row);
-                if lv.is_null() || rv.is_null() {
-                    Value::Bool(false)
-                } else {
-                    Value::Bool(op.apply(&lv, &rv))
-                }
-            }
-            Expr::And(parts) => {
-                for p in parts {
-                    if !p.eval(row).is_truthy() {
-                        return Value::Bool(false);
-                    }
-                }
-                Value::Bool(true)
-            }
-            Expr::Or(parts) => {
-                for p in parts {
-                    if p.eval(row).is_truthy() {
-                        return Value::Bool(true);
-                    }
-                }
-                Value::Bool(false)
-            }
-            Expr::Not(e) => Value::Bool(!e.eval(row).is_truthy()),
-            Expr::InList(e, values) => {
-                let v = e.eval(row);
-                Value::Bool(values.iter().any(|c| c == &v))
-            }
-            Expr::Between(e, lo, hi) => {
-                let v = e.eval(row);
-                if v.is_null() {
-                    Value::Bool(false)
-                } else {
-                    Value::Bool(&v >= lo && &v <= hi)
-                }
-            }
+            Expr::Cmp(..)
+            | Expr::And(_)
+            | Expr::Or(_)
+            | Expr::Not(_)
+            | Expr::InList(..)
+            | Expr::Between(..) => Value::Bool(self.matches(row)),
             Expr::Arith(op, l, r) => {
                 let (Some(a), Some(b)) = (l.eval(row).as_f64(), r.eval(row).as_f64()) else {
                     return Value::Null;
@@ -199,7 +168,7 @@ impl Expr {
                 })
             }
             Expr::Case(cond, then, otherwise) => {
-                if cond.eval(row).is_truthy() {
+                if cond.matches(row) {
                     then.eval(row)
                 } else {
                     otherwise.eval(row)
@@ -209,8 +178,41 @@ impl Expr {
     }
 
     /// Evaluates as a predicate (NULL ⇒ false).
+    ///
+    /// Column and literal operands are read in place, so a comparison,
+    /// `IN` list or `BETWEEN` over them clones no value.
     pub fn matches(&self, row: &Row) -> bool {
-        self.eval(row).is_truthy()
+        match self {
+            Expr::Cmp(op, l, r) => {
+                let (lv, rv) = (l.operand(row), r.operand(row));
+                !lv.is_null() && !rv.is_null() && op.apply(&lv, &rv)
+            }
+            Expr::And(parts) => parts.iter().all(|p| p.matches(row)),
+            Expr::Or(parts) => parts.iter().any(|p| p.matches(row)),
+            Expr::Not(e) => !e.matches(row),
+            Expr::InList(e, values) => {
+                let v = e.operand(row);
+                values.iter().any(|c| c == &*v)
+            }
+            Expr::Between(e, lo, hi) => {
+                let v = e.operand(row);
+                !v.is_null() && &*v >= lo && &*v <= hi
+            }
+            Expr::Col(_) | Expr::Lit(_) | Expr::Arith(..) | Expr::Case(..) => {
+                self.eval(row).is_truthy()
+            }
+        }
+    }
+
+    /// The operand's value: borrowed for a column or literal, computed
+    /// through [`Expr::eval`] otherwise.
+    #[inline]
+    fn operand<'a>(&'a self, row: &'a Row) -> Cow<'a, Value> {
+        match self {
+            Expr::Col(idx) => Cow::Borrowed(row.get(*idx)),
+            Expr::Lit(v) => Cow::Borrowed(v),
+            e => Cow::Owned(e.eval(row)),
+        }
     }
 }
 

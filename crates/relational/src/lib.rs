@@ -10,8 +10,10 @@
 //! Skipper's MJoin so that result correctness can be cross-checked.
 //!
 //! Design notes:
-//! * Rows are small boxed slices of [`Value`]; strings are `Arc<str>` so
-//!   cloning rows during joins is cheap.
+//! * Rows are small boxed slices of [`Value`] owned by their [`Segment`].
+//!   Scans, indexes, joins and aggregation borrow them: a scan yields row
+//!   positions, an index or join holds positions and `&Row`s, and a key
+//!   is copied only when it is new to a hash table.
 //! * Hashing uses an FxHash-style hasher ([`hash`]) — the guide-recommended
 //!   idiom for integer-keyed join tables.
 //! * A [`Segment`] is the unit of storage and transfer:

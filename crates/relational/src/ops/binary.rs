@@ -6,8 +6,17 @@
 //! This is the *blocking* execution model the paper contrasts with MJoin:
 //! every input must be fully available, in order, before results appear —
 //! precisely the assumption a shared CSD violates.
+//!
+//! The join copies no row. Relations are read as filter survivors of
+//! shared segments, the intermediate result is one flat buffer of row
+//! positions, and hash keys are probed with a reused value buffer. The
+//! work counters are unchanged by this layout: `peak_intermediate` still
+//! counts tuples (one position per bound relation), not buffer entries.
+
+use std::borrow::Borrow;
 
 use crate::hash::FxHashMap;
+use crate::ops::scan::scan;
 use crate::query::{Aggregator, QuerySpec};
 use crate::segment::Segment;
 use crate::tuple::Row;
@@ -26,42 +35,91 @@ pub struct BinaryWork {
     pub probes: usize,
     /// Rows in the final joined result.
     pub emitted: usize,
-    /// Peak intermediate-result cardinality (memory pressure proxy).
+    /// Peak intermediate-result cardinality in tuples (memory pressure
+    /// proxy).
     pub peak_intermediate: usize,
 }
 
+/// End of a build-side chain of equal-key rows.
+const CHAIN_END: u32 = u32::MAX;
+
 /// Executes `spec` with left-deep binary hash joins over fully
 /// materialized relations (`relations[i]` = all segments of table `i`),
-/// feeding the final rows into a fresh [`Aggregator`].
+/// feeding the final rows into a fresh [`Aggregator`]. Every segment is
+/// scanned through its relation's filter, then joined by
+/// [`join_filtered`].
 ///
 /// # Panics
 /// Panics if `plan_order` would require a cross product (no join edge
 /// between the next relation and the already-joined prefix) — the static
 /// workload plans never do.
-pub fn execute_left_deep(spec: &QuerySpec, relations: &[&[Segment]]) -> (Aggregator, BinaryWork) {
+pub fn execute_left_deep(
+    spec: &QuerySpec,
+    relations: &[&[impl Borrow<Segment>]],
+) -> (Aggregator, BinaryWork) {
     assert_eq!(relations.len(), spec.num_relations());
+    let mut scanned = 0;
+    let filtered: Vec<Vec<(&Segment, Vec<u32>)>> = relations
+        .iter()
+        .enumerate()
+        .map(|(rel, segs)| {
+            segs.iter()
+                .map(|seg| {
+                    let seg = seg.borrow();
+                    let (survivors, stats) = scan(seg, spec.filters[rel].as_ref());
+                    scanned += stats.scanned;
+                    (seg, survivors)
+                })
+                .collect()
+        })
+        .collect();
+    let (agg, mut work) = join_filtered(spec, &filtered);
+    work.scanned = scanned;
+    (agg, work)
+}
+
+/// Joins already-filtered relations: `relations[i]` lists table `i`'s
+/// segments in order, each with the ascending positions of its filter
+/// survivors (as [`scan`] returns them). Rows are joined in place;
+/// `work.scanned` is left at zero since nothing is scanned here.
+///
+/// # Panics
+/// As [`execute_left_deep`].
+pub fn join_filtered<S: Borrow<Segment>>(
+    spec: &QuerySpec,
+    relations: &[Vec<(S, Vec<u32>)>],
+) -> (Aggregator, BinaryWork) {
+    let n = spec.num_relations();
+    assert_eq!(relations.len(), n);
     let mut work = BinaryWork::default();
 
-    // Scan + filter every relation up front (the baseline fetches whole
-    // relations in plan order; filters apply at scan time).
-    let mut filtered: Vec<Vec<Row>> = Vec::with_capacity(relations.len());
-    for (rel, segs) in relations.iter().enumerate() {
-        let mut rows = Vec::new();
-        for seg in segs.iter() {
-            let (mut r, stats) = crate::ops::scan::scan_filter(seg, spec.filters[rel].as_ref());
-            work.scanned += stats.scanned;
-            work.kept += stats.kept;
-            rows.append(&mut r);
-        }
-        filtered.push(rows);
-    }
+    // Each relation's survivors, borrowed, concatenated in segment order.
+    let rows: Vec<Vec<&Row>> = relations
+        .iter()
+        .map(|segs| {
+            let mut out = Vec::with_capacity(segs.iter().map(|(_, s)| s.len()).sum());
+            for (seg, survivors) in segs {
+                let seg_rows = seg.borrow().rows();
+                out.extend(survivors.iter().map(|&pos| &seg_rows[pos as usize]));
+            }
+            out
+        })
+        .collect();
+    work.kept = rows.iter().map(Vec::len).sum();
 
-    // Intermediate result: tuples of row indices, one per bound relation,
-    // in binding order.
+    // Intermediate result: one row position per bound relation, in
+    // binding order, flattened tuple after tuple.
     let first = spec.plan_order[0];
     let mut bound: Vec<usize> = vec![first];
-    let mut inter: Vec<Vec<u32>> = (0..filtered[first].len() as u32).map(|i| vec![i]).collect();
-    work.peak_intermediate = inter.len();
+    let mut inter: Vec<u32> = (0..rows[first].len() as u32).collect();
+    let mut next: Vec<u32> = Vec::new();
+    work.peak_intermediate = rows[first].len();
+
+    // Build side: composite join key → (first, last) row of a chain that
+    // `chain` links in row order.
+    let mut table: FxHashMap<Row, (u32, u32)> = FxHashMap::default();
+    let mut chain: Vec<u32> = Vec::new();
+    let mut key: Vec<Value> = Vec::new();
 
     for &rel in &spec.plan_order[1..] {
         // Join edges between `rel` and the bound prefix.
@@ -83,9 +141,12 @@ pub fn execute_left_deep(spec: &QuerySpec, relations: &[&[Segment]]) -> (Aggrega
         );
 
         // Build a hash table over `rel` keyed by its composite join key.
-        let mut table: FxHashMap<Row, Vec<u32>> = FxHashMap::default();
-        'rows: for (pos, row) in filtered[rel].iter().enumerate() {
-            let mut key = Vec::with_capacity(edges.len());
+        table.clear();
+        table.reserve(rows[rel].len());
+        chain.clear();
+        chain.resize(rows[rel].len(), CHAIN_END);
+        'rows: for (pos, row) in rows[rel].iter().enumerate() {
+            key.clear();
             for &(own_col, _, _) in &edges {
                 let v = row.get(own_col);
                 if v.is_null() {
@@ -94,53 +155,57 @@ pub fn execute_left_deep(spec: &QuerySpec, relations: &[&[Segment]]) -> (Aggrega
                 key.push(v.clone());
             }
             work.built += 1;
-            table.entry(Row::new(key)).or_default().push(pos as u32);
+            let pos = pos as u32;
+            match table.get_mut(key.as_slice()) {
+                Some(run) => {
+                    chain[run.1 as usize] = pos;
+                    run.1 = pos;
+                }
+                None => {
+                    table.insert(Row::new(key.clone()), (pos, pos));
+                }
+            }
         }
 
         // Probe with the intermediate result.
-        let mut next = Vec::new();
-        for tuple in &inter {
+        let width = bound.len();
+        next.clear();
+        // Sized for at most one match per tuple, as on a foreign key.
+        next.reserve(inter.len() / width * (width + 1));
+        'tuples: for tuple in inter.chunks_exact(width) {
             work.probes += 1;
-            let mut key: Vec<Value> = Vec::with_capacity(edges.len());
-            let mut null_key = false;
+            key.clear();
             for &(_, slot, other_col) in &edges {
-                let src_rel = bound[slot];
-                let row = &filtered[src_rel][tuple[slot] as usize];
-                let v = row.get(other_col);
+                let v = rows[bound[slot]][tuple[slot] as usize].get(other_col);
                 if v.is_null() {
-                    null_key = true;
-                    break;
+                    continue 'tuples;
                 }
                 key.push(v.clone());
             }
-            if null_key {
-                continue;
-            }
-            if let Some(matches) = table.get(&Row::new(key)) {
-                for &pos in matches {
-                    let mut t = tuple.clone();
-                    t.push(pos);
-                    next.push(t);
+            if let Some(&(head, _)) = table.get(key.as_slice()) {
+                let mut pos = head;
+                while pos != CHAIN_END {
+                    next.extend_from_slice(tuple);
+                    next.push(pos);
+                    pos = chain[pos as usize];
                 }
             }
         }
         bound.push(rel);
-        inter = next;
-        work.peak_intermediate = work.peak_intermediate.max(inter.len());
+        std::mem::swap(&mut inter, &mut next);
+        work.peak_intermediate = work.peak_intermediate.max(inter.len() / bound.len());
     }
 
     // Emit joined rows in relation order into the aggregator.
+    let mut slot_of = vec![0usize; n];
+    for (slot, &rel) in bound.iter().enumerate() {
+        slot_of[rel] = slot;
+    }
     let mut agg = Aggregator::for_query(spec);
-    let mut ordered: Vec<&Row> = Vec::with_capacity(spec.num_relations());
-    for tuple in &inter {
+    let mut ordered: Vec<&Row> = Vec::with_capacity(n);
+    for tuple in inter.chunks_exact(bound.len()) {
         ordered.clear();
-        ordered.resize(spec.num_relations(), &filtered[0][0]); // placeholder; every slot overwritten below
-        let mut slots_filled = 0usize;
-        for (slot, &rel) in bound.iter().enumerate() {
-            ordered[rel] = &filtered[rel][tuple[slot] as usize];
-            slots_filled += 1;
-        }
-        debug_assert_eq!(slots_filled, spec.num_relations());
+        ordered.extend((0..n).map(|rel| rows[rel][tuple[slot_of[rel]] as usize]));
         work.emitted += 1;
         agg.update(&ordered);
     }
@@ -240,6 +305,51 @@ mod tests {
         assert_eq!(out[0].1, vec![Value::Int(1)]);
         assert_eq!(out[1].0, row!["y"]);
         assert_eq!(out[1].1, vec![Value::Int(1)]);
+    }
+
+    #[test]
+    fn join_filtered_matches_execute_left_deep() {
+        // Pre-scanned, shared segments give the same result and work as
+        // scanning inside the join, except that nothing is scanned.
+        let a: Vec<std::sync::Arc<Segment>> = (0..3i64)
+            .map(|s| {
+                let rows = (0..8i64).map(|i| row![s * 8 + i, i % 3]).collect();
+                std::sync::Arc::new(seg(&[("k", DataType::Int), ("g", DataType::Int)], rows))
+            })
+            .collect();
+        let b = vec![std::sync::Arc::new(seg(
+            &[("k", DataType::Int)],
+            (0..24i64).step_by(2).map(|i| row![i]).collect(),
+        ))];
+        let mut spec = count_spec(2, vec![JoinCond::new(0, 0, 1, 0)], vec![1, 0]);
+        spec.filters[0] = Some(Expr::col(1).gt(Expr::lit(0i64)));
+        spec.group_by = vec![QualifiedCol::new(0, 1)];
+        let (whole, whole_work) = execute_left_deep(&spec, &[&a, &b]);
+        let scanned: Vec<Vec<(std::sync::Arc<Segment>, Vec<u32>)>> = [&a, &b]
+            .iter()
+            .enumerate()
+            .map(|(rel, segs)| {
+                segs.iter()
+                    .map(|s| {
+                        (
+                            s.clone(),
+                            crate::ops::scan::scan(s, spec.filters[rel].as_ref()).0,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let (joined, work) = join_filtered(&spec, &scanned);
+        assert_eq!(joined.finish(), whole.finish());
+        assert_eq!(
+            work,
+            BinaryWork {
+                scanned: 0,
+                ..whole_work
+            }
+        );
+        assert_eq!(whole_work.scanned, 36);
+        assert!(whole_work.emitted > 0);
     }
 
     #[test]

@@ -57,27 +57,40 @@ pub fn execute_combination(
     }
 
     let mut bound: Vec<Option<&Row>> = vec![None; n];
+    let mut emit: Vec<&Row> = Vec::with_capacity(n);
     for driver_row in segments[plan.driver].rows() {
         work.driver_tuples += 1;
         bound[plan.driver] = Some(driver_row);
-        descend(plan, segments, &mut bound, 0, &mut work, sink);
+        descend(plan, segments, &mut bound, &mut emit, 0, &mut work, sink);
     }
     work
+}
+
+/// Copies the fully bound row set into the reused `emit` buffer and
+/// hands it to `sink`.
+fn emit_bound<'a>(
+    bound: &[Option<&'a Row>],
+    emit: &mut Vec<&'a Row>,
+    work: &mut JoinWork,
+    sink: &mut dyn FnMut(&[&Row]),
+) {
+    emit.clear();
+    emit.extend(bound.iter().map(|r| r.expect("all bound")));
+    work.emitted += 1;
+    sink(emit);
 }
 
 fn descend<'a>(
     plan: &ProbePlan,
     segments: &[&'a SegmentIndex],
     bound: &mut Vec<Option<&'a Row>>,
+    emit: &mut Vec<&'a Row>,
     depth: usize,
     work: &mut JoinWork,
     sink: &mut dyn FnMut(&[&Row]),
 ) {
     if depth == plan.steps.len() {
-        // All relations bound: emit.
-        let rows: Vec<&Row> = bound.iter().map(|r| r.expect("all bound")).collect();
-        work.emitted += 1;
-        sink(&rows);
+        emit_bound(bound, emit, work, sink);
         return;
     }
     let step = &plan.steps[depth];
@@ -99,7 +112,7 @@ fn descend<'a>(
             continue;
         }
         bound[step.rel] = Some(candidate);
-        descend(plan, segments, bound, depth + 1, work, sink);
+        descend(plan, segments, bound, emit, depth + 1, work, sink);
     }
     bound[step.rel] = None;
 }
@@ -138,6 +151,7 @@ pub fn execute_rooted(
         "rooted execution starts from exactly the arriving segment"
     );
     let mut bound: Vec<Option<&Row>> = vec![None; n];
+    let mut emit: Vec<&Row> = Vec::with_capacity(n);
     let mut combo: Vec<u32> = vec![0; n];
     let (root_seg, root_idx) = candidates[plan.driver][0];
     combo[plan.driver] = root_seg;
@@ -148,6 +162,7 @@ pub fn execute_rooted(
             plan,
             candidates,
             &mut bound,
+            &mut emit,
             &mut combo,
             0,
             &mut work,
@@ -163,6 +178,7 @@ fn descend_rooted<'a>(
     plan: &ProbePlan,
     candidates: &[Vec<(u32, &'a SegmentIndex)>],
     bound: &mut Vec<Option<&'a Row>>,
+    emit: &mut Vec<&'a Row>,
     combo: &mut Vec<u32>,
     depth: usize,
     work: &mut JoinWork,
@@ -171,9 +187,7 @@ fn descend_rooted<'a>(
 ) {
     if depth == plan.steps.len() {
         if !already_executed(combo) {
-            let rows: Vec<&Row> = bound.iter().map(|r| r.expect("all bound")).collect();
-            work.emitted += 1;
-            sink(&rows);
+            emit_bound(bound, emit, work, sink);
         }
         return;
     }
@@ -200,6 +214,7 @@ fn descend_rooted<'a>(
                 plan,
                 candidates,
                 bound,
+                emit,
                 combo,
                 depth + 1,
                 work,
@@ -221,7 +236,7 @@ mod tests {
 
     fn idx(cols: &[(&str, DataType)], rows: Vec<Row>, join_cols: &[usize]) -> SegmentIndex {
         let seg = Segment::new(Schema::of(cols), rows).unwrap();
-        SegmentIndex::build(&seg, None, join_cols)
+        SegmentIndex::build(std::sync::Arc::new(seg), None, join_cols)
     }
 
     fn spec(n: usize, joins: Vec<JoinCond>, driver: usize) -> QuerySpec {

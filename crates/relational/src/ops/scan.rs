@@ -1,13 +1,14 @@
 //! Filtered segment scans.
 //!
 //! Selection predicates are applied at the segment boundary in both
-//! engines — the baseline filters while building/probing, MJoin filters
-//! before inserting tuples into its per-segment hash tables. Centralizing
-//! the scan here keeps the two engines' filter semantics identical.
+//! engines — the baseline filters each segment as it arrives, MJoin
+//! filters before indexing a segment for its symmetric hash joins.
+//! Centralizing the scan here keeps the two engines' filter semantics
+//! identical. A scan copies no row: it yields the positions of the
+//! survivors in the segment, which stays shared.
 
 use crate::expr::Expr;
 use crate::segment::Segment;
-use crate::tuple::Row;
 
 /// Statistics from one scan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -18,32 +19,27 @@ pub struct ScanStats {
     pub kept: usize,
 }
 
-/// Scans `segment`, returning rows passing `filter` (all rows when
-/// `filter` is `None`) along with scan statistics.
-pub fn scan_filter(segment: &Segment, filter: Option<&Expr>) -> (Vec<Row>, ScanStats) {
-    let mut stats = ScanStats {
-        scanned: segment.len(),
-        kept: 0,
+/// Scans `segment`, returning the ascending positions of the rows
+/// passing `filter` (all rows when `filter` is `None`) along with scan
+/// statistics.
+pub fn scan(segment: &Segment, filter: Option<&Expr>) -> (Vec<u32>, ScanStats) {
+    let rows = segment.rows();
+    let all = 0..rows.len() as u32;
+    let survivors: Vec<u32> = match filter {
+        None => all.collect(),
+        Some(pred) => {
+            // One allocation at the upper bound, trimmed once.
+            let mut kept = Vec::with_capacity(rows.len());
+            kept.extend(all.filter(|&pos| pred.matches(&rows[pos as usize])));
+            kept.shrink_to_fit();
+            kept
+        }
     };
-    let rows: Vec<Row> = match filter {
-        None => segment.rows().to_vec(),
-        Some(pred) => segment
-            .rows()
-            .iter()
-            .filter(|r| pred.matches(r))
-            .cloned()
-            .collect(),
+    let stats = ScanStats {
+        scanned: rows.len(),
+        kept: survivors.len(),
     };
-    stats.kept = rows.len();
-    (rows, stats)
-}
-
-/// Counts rows passing `filter` without materializing them.
-pub fn count_matching(segment: &Segment, filter: Option<&Expr>) -> usize {
-    match filter {
-        None => segment.len(),
-        Some(pred) => segment.rows().iter().filter(|r| pred.matches(r)).count(),
-    }
+    (survivors, stats)
 }
 
 #[cfg(test)]
@@ -59,8 +55,8 @@ mod tests {
 
     #[test]
     fn unfiltered_scan_keeps_all() {
-        let (rows, stats) = scan_filter(&seg(), None);
-        assert_eq!(rows.len(), 10);
+        let (survivors, stats) = scan(&seg(), None);
+        assert_eq!(survivors, (0..10).collect::<Vec<u32>>());
         assert_eq!(
             stats,
             ScanStats {
@@ -72,26 +68,22 @@ mod tests {
 
     #[test]
     fn filtered_scan_applies_predicate() {
+        let seg = seg();
         let pred = Expr::col(0).ge(Expr::lit(7i64));
-        let (rows, stats) = scan_filter(&seg(), Some(&pred));
-        assert_eq!(rows.len(), 3);
+        let (survivors, stats) = scan(&seg, Some(&pred));
+        assert_eq!(survivors, vec![7, 8, 9]);
         assert_eq!(stats.kept, 3);
         assert_eq!(stats.scanned, 10);
-        assert!(rows.iter().all(|r| r.get(0).as_int().unwrap() >= 7));
-    }
-
-    #[test]
-    fn count_matches_scan() {
-        let pred = Expr::col(0).lt(Expr::lit(4i64));
-        assert_eq!(count_matching(&seg(), Some(&pred)), 4);
-        assert_eq!(count_matching(&seg(), None), 10);
+        assert!(survivors
+            .iter()
+            .all(|&p| seg.rows()[p as usize].get(0).as_int().unwrap() >= 7));
     }
 
     #[test]
     fn selective_to_empty() {
         let pred = Expr::col(0).gt(Expr::lit(100i64));
-        let (rows, stats) = scan_filter(&seg(), Some(&pred));
-        assert!(rows.is_empty());
+        let (survivors, stats) = scan(&seg(), Some(&pred));
+        assert!(survivors.is_empty());
         assert_eq!(stats.kept, 0);
     }
 }

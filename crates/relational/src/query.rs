@@ -321,6 +321,9 @@ pub struct Aggregator {
     aggs: Vec<AggSpec>,
     groups: FxHashMap<Row, Vec<AggState>>,
     rows_seen: u64,
+    /// Reused group-key buffer; a key is copied into a [`Row`] only when
+    /// its group is new.
+    key: Vec<Value>,
 }
 
 #[derive(Clone, Debug)]
@@ -394,22 +397,26 @@ impl Aggregator {
             aggs: spec.aggregates.clone(),
             groups: FxHashMap::default(),
             rows_seen: 0,
+            key: Vec::with_capacity(spec.group_by.len()),
         }
     }
 
     /// Feeds one joined output row (`rows[i]` = bound row of relation `i`).
     pub fn update(&mut self, rows: &[&Row]) {
         self.rows_seen += 1;
-        let key = Row::new(
+        self.key.clear();
+        self.key.extend(
             self.group_by
                 .iter()
-                .map(|qc| rows[qc.rel].get(qc.col).clone())
-                .collect(),
+                .map(|qc| rows[qc.rel].get(qc.col).clone()),
         );
-        let states = self
-            .groups
-            .entry(key)
-            .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect());
+        let states = match self.groups.get_mut(self.key.as_slice()) {
+            Some(states) => states,
+            None => self
+                .groups
+                .entry(Row::new(self.key.clone()))
+                .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect()),
+        };
         for (state, agg) in states.iter_mut().zip(&self.aggs) {
             state.update(agg.expr.eval(rows));
         }

@@ -1,5 +1,6 @@
 //! Rows.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::schema::Schema;
@@ -7,8 +8,12 @@ use crate::value::Value;
 
 /// A row: a boxed slice of values positionally matching a [`Schema`].
 ///
-/// Rows are cheap to clone (strings are `Arc<str>`) and hashable so they
-/// can serve directly as group-by keys.
+/// Rows live in their [`Segment`](crate::segment::Segment) and the
+/// operators borrow them: scans yield row positions, joins bind `&Row`s.
+/// A `Row` is also the owned form of a multi-column key (join keys,
+/// group-by keys). It borrows as `[Value]`, with equal hashes, so a
+/// `FxHashMap<Row, _>` is probed with a reused `&[Value]` buffer and a
+/// `Row` is allocated only when a key is new.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Row {
     values: Box<[Value]>,
@@ -70,6 +75,14 @@ impl fmt::Debug for Row {
     }
 }
 
+/// `Row`'s derived `Hash`, `Eq` and `Ord` all delegate to its value
+/// slice, which is what makes this `Borrow` sound.
+impl Borrow<[Value]> for Row {
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
         Row::new(values)
@@ -122,6 +135,48 @@ mod tests {
         m.insert(row![1i64, "a"], 10);
         assert_eq!(m.get(&row![1i64, "a"]), Some(&10));
         assert_eq!(m.get(&row![1i64, "b"]), None);
+    }
+
+    #[test]
+    fn rows_are_found_by_borrowed_value_slices() {
+        use crate::hash::FxHashMap;
+        use std::hash::BuildHasher;
+        let keys = [
+            row!["MAIL", 1.5f64, Value::Date(9_000), 7i64],
+            row!["SHIP", -0.25f64, Value::Date(9_001), 7i64],
+            row!["MAIL", 1.5f64, Value::Date(9_000), 8i64],
+            Row::new(vec![
+                Value::Null,
+                Value::Float(0.0),
+                Value::Date(0),
+                Value::Int(0),
+            ]),
+        ];
+        let mut m: FxHashMap<Row, usize> = FxHashMap::default();
+        for (i, k) in keys.iter().enumerate() {
+            m.insert(k.clone(), i);
+        }
+        let hasher = m.hasher().clone();
+        for (i, k) in keys.iter().enumerate() {
+            // A freshly built value buffer, as the join and aggregation
+            // loops reuse one.
+            let probe: Vec<Value> = k.values().to_vec();
+            assert_eq!(m.get(probe.as_slice()), Some(&i));
+            assert_eq!(
+                hasher.hash_one(k),
+                hasher.hash_one(probe.as_slice()),
+                "Row and [Value] hashes must agree for {k:?}"
+            );
+        }
+        let absent = [
+            Value::str("MAIL"),
+            Value::Float(1.5),
+            Value::Date(9_000),
+            Value::Int(9),
+        ];
+        assert_eq!(m.get(&absent[..]), None);
+        // A prefix of a key is a different key.
+        assert_eq!(m.get(&keys[0].values()[..3]), None);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 use std::sync::Arc;
 
 use skipper::core::runtime::{
-    LedgerMode, RunResult, Scenario, SkipperFactory, TraceMode, VanillaFactory, Workload,
+    LedgerMode, RecordMode, RunResult, Scenario, SkipperFactory, TraceMode, VanillaFactory,
+    Workload,
 };
 use skipper::csd::SchedPolicy;
 use skipper::datagen::{tpch, Dataset, GenConfig};
@@ -164,6 +165,43 @@ fn counters_modes_reproduce_schedule_with_bounded_memory() {
                 let accounted = rec.processing + rec.stalls.total();
                 assert_eq!(accounted.as_micros(), rec.duration().as_micros(), "{label}");
             }
+        }
+    }
+}
+
+/// The per-query summaries (`total_gets`, `mean_query_secs`,
+/// `cumulative_secs`) stream, so a `RecordMode::Counters` run reports
+/// the same values as the Full run, and those equal the sums over the
+/// Full run's records.
+#[test]
+fn counters_mode_keeps_query_summaries() {
+    let ds = dataset();
+    for shards in [1usize, 2] {
+        let full = scenario(&ds, SchedPolicy::RankBased, shards).run();
+        let lean = scenario(&ds, SchedPolicy::RankBased, shards)
+            .record_mode(RecordMode::Counters)
+            .run();
+        let label = format!("{shards} shards");
+        assert_eq!(
+            lean.records().count(),
+            0,
+            "{label}: counters mode kept records"
+        );
+
+        let gets: u64 = full.records().map(|r| r.stats.gets_issued).sum();
+        let micros: u64 = full.records().map(|r| r.duration().as_micros()).sum();
+        let queries = full.records().count() as u64;
+        assert_eq!(queries, 4, "{label}");
+        assert!(gets > 0 && micros > 0, "{label}");
+        let secs = micros as f64 / 1e6;
+        for (mode, res) in [("full", &full), ("counters", &lean)] {
+            assert_eq!(res.total_gets(), gets, "{label} {mode}");
+            assert_eq!(res.cumulative_secs(), secs, "{label} {mode}");
+            assert_eq!(
+                res.mean_query_secs(),
+                secs / queries as f64,
+                "{label} {mode}"
+            );
         }
     }
 }
