@@ -14,9 +14,8 @@
 //! 2. **Conservation** — the cached run delivers exactly the uncached
 //!    run's `(client, query, object)` multiset, hits and misses
 //!    together: the cache changes *when* bytes arrive, never *which*.
-//! 3. **Determinism / mode invariance** — repeating the gated cached
-//!    run reproduces it bit for bit, and the windowed-parallel drive
-//!    (4 workers) matches sequential exactly.
+//! 3. **Determinism** — repeating the gated cached run reproduces it
+//!    bit for bit.
 //! 4. **`--hit-floor F`** — hit rate at the gated config (DRAM = 10 %
 //!    of the working set) stays ≥ `F`.
 //! 5. **`--speedup-floor X`** — uncached/cached makespan ratio at the
@@ -39,7 +38,6 @@ use skipper_bench::experiments::tiering::{
     pareto_frontier, run_config, sweep_grid, table, to_json, GATED_LABEL,
 };
 use skipper_bench::scenarios::{SkewedFleet, SkewedSpec};
-use skipper_core::runtime::ExecutionMode;
 
 /// Counts every allocation (alloc + realloc) on top of the system
 /// allocator, as in the perf harness: the gauge is allocator traffic,
@@ -178,12 +176,6 @@ fn main() {
     );
     let repeat = fleet.scenario().shard_cache(per_shard).run();
     check(repeat == cached, "repeated cached run is bit-identical");
-    let parallel = fleet
-        .scenario()
-        .shard_cache(per_shard)
-        .execution(ExecutionMode::Parallel { workers: 4 })
-        .run();
-    check(parallel == cached, "parallel cached run == sequential");
 
     let speedup = uncached_sample.makespan_secs / gated_sample.makespan_secs;
     println!(

@@ -50,7 +50,7 @@ pub fn outlook_rows(ctx: &mut Ctx) -> Vec<OutlookRow> {
                     .clients(clients)
                     .engine(engine)
                     .cache_bytes(30 * GIB)
-                    .parallel_streams(streams)
+                    .streams(streams)
                     .repeat_query(q12.clone(), 1)
                     .run()
                     .mean_query_secs()
@@ -104,7 +104,7 @@ mod tests {
                 .clients(4)
                 .engine(EngineKind::Skipper)
                 .cache_bytes(10 << 30)
-                .parallel_streams(streams)
+                .streams(streams)
                 .repeat_query(q12.clone(), 1)
                 .run()
                 .mean_query_secs()

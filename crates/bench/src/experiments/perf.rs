@@ -29,21 +29,7 @@
 //! v2 samples also report *allocations per event* over the drive loop —
 //! the zero-allocation steady-state gauge.
 //!
-//! A third axis rides on top of the v2 core: **execution** — the
-//! windowed-parallel drive loop (`par`), the bench-side twin of the
-//! runtime's `ExecutionMode::Parallel`. Tenant resubmits go through
-//! scheduled `Round` events (`think_micros` after the round-completing
-//! delivery — the client think time), which makes every cross-shard
-//! interaction instant known ahead of time: a [`HorizonTracker`] bounds
-//! the safe horizon, shard completion chains drain concurrently into
-//! [`WindowBuffer`] replay logs on a worker pool, and the calendar loop
-//! replays them — bit-identical to the same loop at `workers = 0` (no
-//! windows), which [`parallel_sweep`] asserts per configuration. With
-//! `think_micros = 0` the horizon collapses to the next wake-up and no
-//! window ever drains: parallel execution only pays off when clients
-//! think between rounds.
-//!
-//! A fourth drive loop leaves the closed-loop regime entirely: **open**
+//! A third drive loop leaves the closed-loop regime entirely: **open**
 //! ([`drive_open` via `open_sweep`]) releases every round at instants
 //! expanded up-front from a seeded [`ArrivalProcess`] (Poisson, bursty
 //! on/off, diurnal, trace replay), so load arrives whether or not the
@@ -55,7 +41,7 @@
 //! allocs/event gauge.
 //!
 //! `skipper-bench --bin perf` emits the results as `BENCH_perf.json`
-//! (schema `BENCH_perf/v4`) and the recorded baselines live in
+//! (schema `BENCH_perf/v5`) and the recorded baselines live in
 //! `EXPERIMENTS.md`.
 
 use std::time::Instant;
@@ -65,9 +51,6 @@ use skipper_csd::sched::{NaiveQueue, RequestIndex, RequestQueue};
 use skipper_csd::{
     CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LedgerMode, ObjectId, ObjectStore, QueryId,
     SchedPolicy, StreamModel,
-};
-use skipper_sim::parallel::{
-    drain_chain, drain_parallel, HorizonTracker, WindowBuffer, WindowDrain,
 };
 use skipper_sim::rng::splitmix64;
 use skipper_sim::{CalendarQueue, QuantileSketch, SimDuration, SimTime, TraceMode};
@@ -94,20 +77,13 @@ pub struct PerfScenario {
     /// multi-stream configuration exercises the earliest-of-K wake-up
     /// path and the armed-switch drain in the hot loop.
     pub streams: u32,
-    /// Client think time in microseconds: the delay between a tenant's
-    /// round-completing delivery and its next-round submission. Only
-    /// the windowed (`par`) drive loop honours it — the v1/v2 loops
-    /// resubmit inline — and it is the parallel loop's lookahead: safe
-    /// windows are at most `min-armed + think` wide, so 0 disables
-    /// draining entirely.
-    pub think_micros: u64,
     /// Open-arrival process for the `open` drive loop: round `r` of
     /// tenant `t` is *released* at the process's `r`-th event instead
     /// of on completion of round `r−1`, so load is applied regardless
     /// of whether the fleet keeps up (the internet-facing regime —
     /// queues grow past saturation and the latency sketch sees the
-    /// queueing delay). `None` keeps the closed loop; the v1/v2/par
-    /// drives ignore this field.
+    /// queueing delay). `None` keeps the closed loop; the v1/v2 drives
+    /// ignore this field.
     pub arrival: Option<ArrivalProcess>,
 }
 
@@ -120,7 +96,6 @@ impl Default for PerfScenario {
             groups: 16,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         }
     }
@@ -140,7 +115,6 @@ impl PerfScenario {
             groups: 16,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         }
     }
@@ -176,12 +150,8 @@ impl CoreVersion {
 /// One timed run of the scenario on one (core, queue) combination.
 #[derive(Clone, Debug)]
 pub struct PerfSample {
-    /// Core label: `"v1"`, `"v2"`, or `"par"` (the windowed loop).
+    /// Core label: `"v1"`, `"v2"`, or `"open"` (the open-arrival loop).
     pub core: &'static str,
-    /// Worker threads draining windows (`par` core only): `Some(0)` is
-    /// the no-window sequential reference every parallel run must match
-    /// bit-for-bit; `None` for the v1/v2 cores.
-    pub workers: Option<usize>,
     /// Queue implementation label: `"indexed"` or `"naive"`.
     pub queue: &'static str,
     /// Fleet size.
@@ -532,236 +502,6 @@ fn drive_v2<Q: RequestIndex>(
     )
 }
 
-/// Event payloads of the windowed (`par`) drive loop.
-#[derive(Clone, Copy, Debug)]
-enum DriveEvent {
-    /// Shard's armed wake-up fires.
-    Wake(usize),
-    /// Tenant submits a round, `think_micros` after the delivery that
-    /// completed its previous one. Every `Round` is noted in the
-    /// horizon tracker: rounds are the loop's only cross-shard
-    /// interactions, so their instants bound the safe window.
-    Round(usize, usize),
-}
-
-/// One shard of the windowed drive loop: the device plus the replay
-/// machinery of the conservative-window protocol — the bench-side twin
-/// of the runtime's `DevicePump`.
-struct ParShard<Q: RequestIndex> {
-    device: CsdDevice<(), Q>,
-    /// The armed wake-up instant (the sequential protocol invariant).
-    armed: Option<SimTime>,
-    replay: WindowBuffer<Delivery<()>>,
-    stage: Vec<Delivery<()>>,
-}
-
-impl<Q: RequestIndex> WindowDrain for ParShard<Q> {
-    fn drain_window(&mut self, horizon: SimTime) {
-        let device = &mut self.device;
-        drain_chain(
-            &mut self.armed,
-            horizon,
-            &mut self.replay,
-            &mut self.stage,
-            |at, out| {
-                device.complete_into(at, out);
-                device.kick(at)
-            },
-        );
-    }
-}
-
-fn submit_round_par<Q: RequestIndex>(
-    sc: &PerfScenario,
-    fleet: &mut [ParShard<Q>],
-    now: SimTime,
-    t: usize,
-    r: usize,
-) {
-    let shards = fleet.len();
-    let query = QueryId::new(t as u16, r as u32);
-    let base = r as u32 * sc.objects_per_round;
-    for seg in base..base + sc.objects_per_round {
-        let shard = &mut fleet[seg as usize % shards];
-        debug_assert!(
-            shard.replay.is_empty(),
-            "submit landed inside a drained window (unsound horizon)"
-        );
-        shard
-            .device
-            .submit(now, t, query, &[ObjectId::new(t as u16, 0, seg)]);
-    }
-}
-
-/// The windowed-parallel drive loop (`par` core, v2 observability).
-///
-/// Differs from `drive_v2` in exactly one workload respect: a tenant's
-/// next round is a scheduled `Round` event `think_micros` after the
-/// completing delivery instead of an inline resubmit (with think 0 the
-/// round still fires at the same instant, but after the completed
-/// shard's kick — so `par` outcomes are compared within the `par`
-/// family, not against v2 fingerprints). That deferral is what makes
-/// parallelism sound: every future submit instant is known, so between
-/// `now` and `min(pending rounds, min-armed + think)` each shard's
-/// chain is private and can be drained concurrently into replay logs.
-///
-/// `workers = 0` disables windows entirely — the pure sequential
-/// reference; every `workers >= 1` run must match it bit-for-bit.
-fn drive_par<Q: RequestIndex + Send>(
-    sc: &PerfScenario,
-    shards: usize,
-    workers: usize,
-    queue_label: &'static str,
-    alloc_counter: Option<fn() -> u64>,
-) -> (PerfSample, Fingerprint) {
-    let think = SimDuration::from_micros(sc.think_micros);
-    let mut fleet: Vec<ParShard<Q>> = build_devices::<Q>(sc, shards, CoreVersion::V2)
-        .into_iter()
-        .map(|device| ParShard {
-            device,
-            armed: None,
-            replay: WindowBuffer::new(),
-            stage: Vec::new(),
-        })
-        .collect();
-    let mut loop_state = ClosedLoop::new(sc.tenants);
-    let mut events = 0u64;
-    let mut scratch: Vec<Delivery<()>> = Vec::new();
-    let mut wakeups: CalendarQueue<DriveEvent> = CalendarQueue::new();
-    let mut tracker = HorizonTracker::new();
-
-    let start = Instant::now();
-    for t in 0..sc.tenants {
-        submit_round_par(sc, &mut fleet, SimTime::ZERO, t, 0);
-        loop_state.outstanding[t] = sc.objects_per_round;
-    }
-    for (s, shard) in fleet.iter_mut().enumerate() {
-        if let Some(at) = shard.device.kick(SimTime::ZERO) {
-            shard.armed = Some(at);
-            wakeups.schedule(at, DriveEvent::Wake(s));
-        }
-    }
-    let allocs_before = alloc_counter.map(|f| f());
-    let mut makespan = SimTime::ZERO;
-    let mut window_end = SimTime::ZERO;
-    while let Some((now, ev)) = wakeups.pop() {
-        if workers > 0 && now >= window_end {
-            // Window barrier: pending rounds bound the horizon
-            // directly; beyond them, the earliest completion can breed
-            // a round no sooner than `min-armed + think`.
-            let mut horizon = tracker.horizon();
-            let min_armed = fleet
-                .iter()
-                .filter_map(|s| s.armed)
-                .min()
-                .unwrap_or(SimTime::MAX);
-            if min_armed != SimTime::MAX {
-                horizon = horizon.min(min_armed + think);
-            }
-            debug_assert!(horizon >= now, "interaction missed by the horizon tracker");
-            if horizon > now {
-                drain_parallel(&mut fleet, horizon, workers);
-            }
-            window_end = horizon;
-        }
-        match ev {
-            DriveEvent::Wake(s) => {
-                let shard = &mut fleet[s];
-                scratch.clear();
-                // `Some(rearm)` when answered from the replay log (the
-                // recorded re-arm schedules the next wake); `None` when
-                // the device ran live and must be kicked afterwards.
-                let replayed = if !shard.replay.is_empty() {
-                    if shard.replay.next_at() != Some(now) {
-                        continue; // stale superseded wake-up (drained)
-                    }
-                    Some(shard.replay.consume_into(now, &mut scratch))
-                } else {
-                    if shard.armed != Some(now) {
-                        continue; // stale superseded wake-up
-                    }
-                    shard.armed = None;
-                    shard.device.complete_into(now, &mut scratch);
-                    None
-                };
-                makespan = now;
-                events += 1;
-                for d in &scratch {
-                    if let Some(r) = loop_state.on_delivery(sc, d) {
-                        let at = now + think;
-                        tracker.note(at);
-                        wakeups.schedule(at, DriveEvent::Round(d.client, r));
-                    }
-                }
-                let shard = &mut fleet[s];
-                match replayed {
-                    Some(Some(at)) => wakeups.schedule(at, DriveEvent::Wake(s)),
-                    Some(None) => {}
-                    None => {
-                        if let Some(at) = shard.device.kick(now) {
-                            shard.armed = Some(at);
-                            wakeups.schedule(at, DriveEvent::Wake(s));
-                        }
-                    }
-                }
-            }
-            DriveEvent::Round(t, r) => {
-                tracker.consume(now);
-                submit_round_par(sc, &mut fleet, now, t, r);
-                let all = sc.objects_per_round as usize >= shards;
-                let base = r as u32 * sc.objects_per_round;
-                for (s2, shard) in fleet.iter_mut().enumerate() {
-                    let touched = all
-                        || (base..base + sc.objects_per_round)
-                            .any(|seg| seg as usize % shards == s2);
-                    if !touched {
-                        continue;
-                    }
-                    match shard.device.kick(now) {
-                        Some(at) if shard.armed == Some(at) => {}
-                        Some(at) => {
-                            shard.armed = Some(at);
-                            wakeups.schedule(at, DriveEvent::Wake(s2));
-                        }
-                        None => shard.armed = None,
-                    }
-                }
-            }
-        }
-    }
-    let allocs_after = alloc_counter.map(|f| f());
-    let wall = start.elapsed().as_secs_f64();
-    let allocs_per_event = allocs_before.zip(allocs_after).map(|(before, after)| {
-        if events > 0 {
-            (after - before) as f64 / events as f64
-        } else {
-            0.0
-        }
-    });
-    let devices: Vec<CsdDevice<(), Q>> = fleet
-        .into_iter()
-        .map(|s| {
-            assert!(s.replay.is_empty(), "run ended with unconsumed replay");
-            s.device
-        })
-        .collect();
-    let (mut sample, fp) = finish(
-        sc,
-        devices,
-        loop_state.count,
-        loop_state.checksum,
-        events,
-        wall,
-        makespan,
-        CoreVersion::V2,
-        queue_label,
-        allocs_per_event,
-    );
-    sample.core = "par";
-    sample.workers = Some(workers);
-    (sample, fp)
-}
-
 /// Event payloads of the open-arrival (`open`) drive loop.
 #[derive(Clone, Copy, Debug)]
 enum OpenEvent {
@@ -946,7 +686,6 @@ fn finish<Q: RequestIndex>(
     (
         PerfSample {
             core: core.label(),
-            workers: None,
             queue: queue_label,
             shards: devices.len(),
             requests: count,
@@ -1054,54 +793,6 @@ pub fn perf_sweep(
     samples
 }
 
-/// Runs the windowed (`par`) drive on every requested shard count: the
-/// no-window sequential reference (`workers = 0`) first, then every
-/// requested worker count — asserting each parallel run's fingerprint
-/// matches the reference exactly (the bench-side differential sweep).
-pub fn parallel_sweep(
-    sc: &PerfScenario,
-    shard_counts: &[usize],
-    workers: &[usize],
-    opts: SweepOptions,
-) -> Vec<PerfSample> {
-    let mut samples = Vec::new();
-    if sc.rounds > 1 {
-        let warmup = PerfScenario {
-            rounds: 1,
-            ..sc.clone()
-        };
-        let shards = shard_counts.first().copied().unwrap_or(1);
-        drive_par::<RequestQueue>(&warmup, shards, 0, "indexed", None);
-    }
-    let repeats = opts.repeats.max(1);
-    for &shards in shard_counts {
-        let best = |w: usize| {
-            let (mut sample, fp) =
-                drive_par::<RequestQueue>(sc, shards, w, "indexed", opts.alloc_counter);
-            for _ in 1..repeats {
-                let (s2, f2) =
-                    drive_par::<RequestQueue>(sc, shards, w, "indexed", opts.alloc_counter);
-                assert_eq!(fp, f2, "repeat run diverged");
-                if s2.wall_secs < sample.wall_secs {
-                    sample = s2;
-                }
-            }
-            (sample, fp)
-        };
-        let (seq, fp_seq) = best(0);
-        samples.push(seq);
-        for &w in workers.iter().filter(|&&w| w > 0) {
-            let (par, fp_par) = best(w);
-            assert_eq!(
-                fp_seq, fp_par,
-                "parallel run diverged from sequential at {shards} shards, {w} workers"
-            );
-            samples.push(par);
-        }
-    }
-    samples
-}
-
 /// Runs the open-arrival (`open`) drive on every requested shard
 /// count. There is no closed-loop twin to diff against (the workload
 /// semantics differ by construction), so the cross-check here is
@@ -1152,31 +843,6 @@ pub fn open_sweep(
     samples
 }
 
-/// The per-(shards, workers) `sequential wall / parallel wall` speedups
-/// of the windowed drive (both on the `par` core, so the event
-/// mechanics are identical and the ratio isolates the worker pool).
-pub fn parallel_speedups(samples: &[PerfSample]) -> Vec<(usize, usize, f64)> {
-    let mut out = Vec::new();
-    for s in samples
-        .iter()
-        .filter(|s| s.core == "par" && s.workers.is_some_and(|w| w > 0))
-    {
-        if let Some(reference) = samples
-            .iter()
-            .find(|r| r.core == "par" && r.workers == Some(0) && r.shards == s.shards)
-        {
-            if s.wall_secs > 0.0 {
-                out.push((
-                    s.shards,
-                    s.workers.unwrap(),
-                    reference.wall_secs / s.wall_secs,
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// The per-shard-count `naive wall / indexed wall` speedups (both on
 /// the v1 core: the PR-3 queue-indexing win).
 pub fn queue_speedups(samples: &[PerfSample]) -> Vec<(usize, f64)> {
@@ -1220,7 +886,6 @@ pub fn table(sc: &PerfScenario, samples: &[PerfSample]) -> Table {
         &[
             "shards",
             "core",
-            "workers",
             "queue",
             "wall(s)",
             "events",
@@ -1235,7 +900,6 @@ pub fn table(sc: &PerfScenario, samples: &[PerfSample]) -> Table {
         t.push_row(vec![
             s.shards.to_string(),
             s.core.into(),
-            s.workers.map_or_else(|| "-".into(), |w| w.to_string()),
             s.queue.into(),
             format!("{:.3}", s.wall_secs),
             s.events.to_string(),
@@ -1321,16 +985,13 @@ fn latency_json(latency: Option<&LatencySample>) -> String {
 }
 
 /// Serializes one or more sweeps as the `BENCH_perf.json` document
-/// (schema `BENCH_perf/v4`: adds the open-arrival axis — `arrival` per
-/// scenario, a `latency` tail block per sample — on top of v3's worker
-/// axis: `think_micros` per scenario, `workers` per sample, a
-/// `parallel_speedup` section); hand-rolled JSON, no serde in this
-/// workspace. The committed artifact carries the classic 115k-request
-/// grid (apples-to-apples with the v1 history), the million-request
-/// multi-shard drive, the windowed-parallel sweeps, and the
-/// bursty-arrival tail-latency sweep.
+/// (schema `BENCH_perf/v5`: v4's open-arrival axis — `arrival` per
+/// scenario, a `latency` tail block per sample — without the worker
+/// axis of v3/v4: no per-scenario think time, per-sample worker count
+/// or parallel speed-up section);
+/// hand-rolled JSON, no serde in this workspace.
 pub fn to_json(sweeps: &[Sweep]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"BENCH_perf/v4\",\n  \"sweeps\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"BENCH_perf/v5\",\n  \"sweeps\": [\n");
     let blocks: Vec<String> = sweeps.iter().map(sweep_json).collect();
     out.push_str(&blocks.join(",\n"));
     out.push_str("\n  ]\n}\n");
@@ -1342,7 +1003,7 @@ fn sweep_json(sweep: &Sweep) -> String {
     let samples = &sweep.samples;
     let mut out = String::from("    {\n");
     out.push_str(&format!(
-        "      \"scenario\": {{\"tenants\": {}, \"rounds\": {}, \"objects_per_round\": {}, \"groups\": {}, \"requests\": {}, \"policy\": \"{}\", \"streams\": {}, \"think_micros\": {}, \"arrival\": {}}},\n",
+        "      \"scenario\": {{\"tenants\": {}, \"rounds\": {}, \"objects_per_round\": {}, \"groups\": {}, \"requests\": {}, \"policy\": \"{}\", \"streams\": {}, \"arrival\": {}}},\n",
         sc.tenants,
         sc.rounds,
         sc.objects_per_round,
@@ -1350,7 +1011,6 @@ fn sweep_json(sweep: &Sweep) -> String {
         sc.total_requests(),
         sc.policy.label(),
         sc.streams,
-        sc.think_micros,
         arrival_json(sc.arrival.as_ref()),
     ));
     out.push_str("      \"samples\": [\n");
@@ -1358,9 +1018,8 @@ fn sweep_json(sweep: &Sweep) -> String {
         .iter()
         .map(|s| {
             format!(
-                "        {{\"core\": \"{}\", \"workers\": {}, \"queue\": \"{}\", \"shards\": {}, \"requests\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"allocs_per_event\": {}, \"makespan_secs\": {:.3}, \"switches\": {}, \"latency\": {}}}",
+                "        {{\"core\": \"{}\", \"queue\": \"{}\", \"shards\": {}, \"requests\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"allocs_per_event\": {}, \"makespan_secs\": {:.3}, \"switches\": {}, \"latency\": {}}}",
                 s.core,
-                s.workers.map_or_else(|| "null".into(), |w| w.to_string()),
                 s.queue,
                 s.shards,
                 s.requests,
@@ -1387,17 +1046,6 @@ fn sweep_json(sweep: &Sweep) -> String {
     out.push_str(&section("queue_speedup", queue_speedups(samples)));
     out.push_str(",\n");
     out.push_str(&section("core_speedup", core_speedups(samples)));
-    out.push_str(",\n");
-    let par_body: Vec<String> = parallel_speedups(samples)
-        .into_iter()
-        .map(|(shards, workers, x)| {
-            format!("        {{\"shards\": {shards}, \"workers\": {workers}, \"speedup\": {x:.2}}}")
-        })
-        .collect();
-    out.push_str(&format!(
-        "      \"parallel_speedup\": [\n{}\n      ]",
-        par_body.join(",\n")
-    ));
     out.push_str("\n    }");
     out
 }
@@ -1415,7 +1063,6 @@ mod tests {
             groups: 2,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         };
         let samples = perf_sweep(&sc, &[1, 2], SweepOptions::default());
@@ -1436,7 +1083,7 @@ mod tests {
             scenario: sc.clone(),
             samples: samples.clone(),
         }]);
-        assert!(json.contains("\"schema\": \"BENCH_perf/v4\""));
+        assert!(json.contains("\"schema\": \"BENCH_perf/v5\""));
         assert!(json.contains("\"queue\": \"naive\""));
         assert!(json.contains("\"core\": \"v2\""));
         assert!(json.contains("\"allocs_per_event\": null"));
@@ -1459,7 +1106,6 @@ mod tests {
             groups: 2,
             policy: SchedPolicy::RankBased,
             streams: 4,
-            think_micros: 0,
             arrival: None,
         };
         let samples = perf_sweep(
@@ -1482,7 +1128,6 @@ mod tests {
             groups: 2,
             policy: SchedPolicy::MaxQueries,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         };
         let samples = perf_sweep(
@@ -1506,65 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drive_matches_sequential_reference() {
-        // The bench-side differential sweep: with think time (so
-        // windows actually drain) every worker count must reproduce
-        // the no-window reference bit-for-bit. parallel_sweep asserts
-        // the fingerprints internally; this pins the sample metadata
-        // and the virtual outcomes on top.
-        let sc = PerfScenario {
-            tenants: 6,
-            rounds: 3,
-            objects_per_round: 8,
-            groups: 3,
-            policy: SchedPolicy::RankBased,
-            streams: 2,
-            think_micros: 500_000,
-            arrival: None,
-        };
-        let samples = parallel_sweep(&sc, &[1, 4], &[1, 2, 4], SweepOptions::default());
-        assert_eq!(samples.len(), 8); // (seq ref + 3 worker counts) × 2
-        for quad in samples.chunks(4) {
-            assert_eq!(quad[0].workers, Some(0));
-            for s in quad {
-                assert_eq!(s.core, "par");
-                assert_eq!(s.makespan_secs, quad[0].makespan_secs);
-                assert_eq!(s.switches, quad[0].switches);
-                assert_eq!(s.events, quad[0].events);
-                assert_eq!(s.requests, sc.total_requests());
-            }
-        }
-        assert_eq!(parallel_speedups(&samples).len(), 6);
-        let json = to_json(&[Sweep {
-            scenario: sc.clone(),
-            samples,
-        }]);
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"think_micros\": 500000"));
-        assert!(json.contains("\"parallel_speedup\""));
-    }
-
-    #[test]
-    fn parallel_drive_policies_agree_without_think_time() {
-        // think 0 collapses every window to nothing — the parallel
-        // runs degrade to the sequential event loop and must still
-        // agree for every policy.
-        for policy in SchedPolicy::all() {
-            let sc = PerfScenario {
-                tenants: 4,
-                rounds: 2,
-                objects_per_round: 6,
-                groups: 2,
-                policy,
-                streams: 1,
-                think_micros: 0,
-                arrival: None,
-            };
-            parallel_sweep(&sc, &[2], &[2], SweepOptions::default());
-        }
-    }
-
-    #[test]
     fn fcfs_policies_agree_across_cores() {
         // The window/oldest-query scopes exercise the slab iteration
         // paths; pin v1 ≡ v2 ≡ naive on them too.
@@ -1576,7 +1162,6 @@ mod tests {
                 groups: 3,
                 policy,
                 streams: 1,
-                think_micros: 0,
                 arrival: None,
             };
             perf_sweep(&sc, &[1, 2], SweepOptions::default());
@@ -1594,7 +1179,6 @@ mod tests {
             groups: 3,
             policy: SchedPolicy::RankBased,
             streams: 2,
-            think_micros: 0,
             arrival: Some(ArrivalProcess::OnOff {
                 on_mean: SimDuration::from_secs(1),
                 on_duration: SimDuration::from_secs(5),
@@ -1664,7 +1248,6 @@ mod tests {
             groups: 4,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: Some(ArrivalProcess::Poisson {
                 mean: SimDuration::from_millis(100),
                 seed: 7,

@@ -7,9 +7,7 @@
 //! — exactly like [`ArrivalProcess`](super::ArrivalProcess) — into a
 //! sorted list of concrete, timestamped [`FaultEpisode`]s. Nothing is
 //! drawn during the run: the driver schedules every fault instant as a
-//! first-class calendar event up front, so Sequential and Parallel
-//! execution see identical fault timings and the safe-horizon
-//! computation can treat fault instants as window barriers.
+//! first-class calendar event up front.
 //!
 //! Three episode kinds:
 //!

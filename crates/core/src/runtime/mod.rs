@@ -86,8 +86,7 @@
 //! assembly time from labeled SplitMix64 streams into timestamped
 //! episodes, and the driver schedules each one as a first-class
 //! calendar event — nothing is drawn during the run, so repeated runs
-//! and both execution modes see identical fault timings (fault
-//! instants are safe-horizon barriers in windowed-parallel mode).
+//! see identical fault timings.
 //! Crashes ([`FaultEpisode::ShardDown`]) abort the shard's in-flight
 //! transfers, evacuate its queue, and cost it its spun-up group;
 //! brown-outs ([`FaultEpisode::Degraded`]) scale newly dispatched
@@ -99,8 +98,7 @@
 //! them in arrival order.
 //!
 //! **Failover invariants** (pinned by the chaos grid in
-//! `tests/sharding.rs` and the fault cells of the differential
-//! battery):
+//! `tests/sharding.rs` and the fault cells of `runtime/tests.rs`):
 //!
 //! * **Delivery-multiset conservation** — every `(client, query,
 //!   object)` request is served exactly once, by whichever replica
@@ -108,8 +106,7 @@
 //!   stale deliveries for completed queries are dropped at routing.
 //!   A faulted run's multiset equals the fault-free run's.
 //! * **Determinism** — a seeded `FaultPlan` yields byte-equal
-//!   [`RunResult`]s across repeated runs and across
-//!   Sequential/Parallel execution at any worker count.
+//!   [`RunResult`]s across repeated runs.
 //! * **Empty plan ⇒ exact goldens** — a default `FaultPlan` leaves
 //!   every run microsecond-identical to a build without the fault
 //!   plane.
@@ -174,14 +171,9 @@
 //!   survive unregenerated ([`ProtectionSummary::is_quiet`] holds; the
 //!   per-tenant offered/completed ledger populates on every run but is
 //!   behavior-neutral).
-//! * **Determinism & mode invariance** — backoff jitter is the only
-//!   stochastic input and it pre-derives from labeled streams, so every
-//!   protected run is byte-equal across repeats and across
-//!   Sequential/Parallel at any worker count. Deadline, hedge, and
-//!   retry instants are noted safe-horizon interactions, and while any
-//!   hedge-enabled client has a query in flight the horizon is also
-//!   bounded by the fleet's earliest armed completion — a delivery-time
-//!   loser-cancel must never land inside a pre-drained window.
+//! * **Determinism** — backoff jitter is the only stochastic input
+//!   and it pre-derives from labeled streams, so every protected run
+//!   is byte-equal across repeats.
 //! * **Makespan honesty** — protection events for queries that already
 //!   completed pop as stale no-ops and do not stretch the makespan (a
 //!   met deadline leaves a far-future cancel event behind).
@@ -238,9 +230,8 @@
 //! * **Zero ⇒ byte-exact** — `cache_size(0)` / `CacheConfig::disabled`
 //!   reproduces the uncached [`RunResult`] bit for bit (the goldens
 //!   survive untouched).
-//! * **Mode invariance** — hit completions are always live pump events,
-//!   never entries in the windowed-parallel replay log, so cached runs
-//!   stay bit-identical across Sequential/Parallel and repeats.
+//! * **Determinism** — hit completions are ordinary pump events with a
+//!   seq tie-break, so cached runs stay bit-identical across repeats.
 //! * **Crash coherence** — a `ShardDown` drains pending hits into the
 //!   displaced set and invalidates the whole shard cache (DRAM does not
 //!   survive a power cycle); failover re-serves from replicas.
@@ -269,56 +260,6 @@
 //! instead of materializing per-group vectors, and the lazy-deletion
 //! heaps compact in place.
 //!
-//! # Windowed-parallel execution
-//!
-//! `Scenario::execution(ExecutionMode::Parallel { workers })` runs the
-//! *same* event loop with a conservative look-ahead on top — the
-//! classic safe-horizon design of conservative parallel discrete-event
-//! simulation, specialized to the one dependency this model has
-//! (clients react to deliveries):
-//!
-//! ```text
-//!   barrier ──► safe horizon H = min( next noted interaction,
-//!               busy clients' un-noted ready instants,
-//!               min armed wake-up if any client sits idle )
-//!      │
-//!      ▼
-//!   window [now, H): every shard's completion chain is *pre-drained*
-//!   in parallel (scoped worker pool, DevicePump::drain_window) into a
-//!   per-shard WindowBuffer replay log — the identical complete/kick
-//!   calls the sequential loop would make, at the identical instants
-//!      │
-//!      ▼
-//!   the calendar loop keeps popping events; in-window Device events
-//!   are answered *from the replay log* (front entry's instant matches
-//!   ⇒ consume; otherwise it is a stale superseded wake-up, a no-op —
-//!   exactly the sequential armed-flag rule); at t ≥ H the next
-//!   barrier recomputes the horizon
-//! ```
-//!
-//! The horizon guarantees no client-state transition — no release, no
-//! ready client with follow-up requests, no idle client receiving its
-//! first delivery — fires strictly inside a window, so no `submit` can
-//! land on a pre-drained shard (the pump asserts this). Shards are
-//! independent below the horizon; draining them concurrently reorders
-//! *wall-clock* work only, never virtual-time work, which is why a
-//! parallel run is **bit-identical** to the sequential one — enforced
-//! by the differential battery in `runtime/tests.rs` (every policy ×
-//! placement × streams × worker count produces byte-equal
-//! [`RunResult`]s) and by the windowed bench drive's fingerprint
-//! assertions.
-//!
-//! *When is parallel profitable?* Windows are only as wide as the gap
-//! until the next client interaction. Closed-loop tenants with zero
-//! think time interact at every delivery — the horizon collapses to
-//! the next event and the windowed loop degenerates to the sequential
-//! one plus barrier overhead. Parallelism pays when (a) clients think
-//! between rounds (interactions are sparse in virtual time), (b) the
-//! fleet has ≥4 shards with real per-shard work to drain, and (c) the
-//! host has cores to spare — otherwise keep the default
-//! `ExecutionMode::Sequential`, which this crate treats as the
-//! reference semantics forever.
-//!
 //! Observability streams instead of accumulating:
 //! `Scenario::trace_mode(TraceMode::Counters)` and
 //! `Scenario::ledger_mode(LedgerMode::Counters)` bound memory for
@@ -340,16 +281,14 @@
 //! thinning, peak-to-trough ratio set by `trough`), and `TraceReplay`
 //! (externally captured instants, sorted and offset). Every shape is
 //! expanded to concrete release instants at assembly time from labeled
-//! SplitMix64 streams, so schedules are bit-reproducible and identical
-//! across execution modes — the parallel differential battery covers
-//! each shape unchanged.
+//! SplitMix64 streams, so schedules are bit-reproducible.
 //!
 //! An open-arrival query's clock starts at its *release*, not when a
 //! client slot frees up: [`QueryRecord::response_time`] = release →
 //! completion (queue-wait included; [`QueryRecord::duration`] remains
 //! start → completion) and [`QueryRecord::queue_wait`] is the
-//! difference. Per-query response times stream — in completion order,
-//! identical across execution modes — into Greenwald–Khanna quantile
+//! difference. Per-query response times stream — in completion
+//! order — into Greenwald–Khanna quantile
 //! sketches ([`skipper_sim::stats::QuantileSketch`], default rank
 //! error ε = 5·10⁻⁴) held per tenant and fleet-wide, surfacing in
 //! [`RunResult::latency`] as a [`LatencySummary`]: p50/p95/p99/p999

@@ -33,22 +33,6 @@
 //! [`DeviceFleet`](super::fleet::DeviceFleet): a fleet is N pumps, each
 //! running this protocol independently against its own device.
 //!
-//! ## Windowed (parallel) execution
-//!
-//! Under `ExecutionMode::Parallel` the pump additionally implements
-//! [`WindowDrain`]: [`DevicePump::drain_window`] pre-executes the
-//! device's completion chain strictly below the safe horizon — the
-//! *same* `complete`/`kick` calls the sequential loop would make, in
-//! the same order — into a [`WindowBuffer`] replay log. The event loop
-//! then answers in-window `Device` events from the log: the front
-//! entry's instant matches ⇒ consume it (deliver the recorded batch,
-//! hand the recorded re-arm to the next `poke`), otherwise the event
-//! is a stale superseded wake-up and a no-op — exactly the sequential
-//! armed-flag rule, which is why a windowed run is bit-identical.
-//! `submit` asserts the log is drained: the horizon guarantees no
-//! cross-shard interaction fires inside a window, so a submit landing
-//! mid-replay would mean the horizon was unsound.
-//!
 //! ## Fault plane
 //!
 //! The pump is also where per-shard fault state lives:
@@ -56,18 +40,13 @@
 //! * **Crash** ([`DevicePump::fail`]) — in-flight transfers abort and
 //!   the queue evacuates into the caller's buffer (the fleet re-routes
 //!   or parks them); the pump rejects submits and kicks until
-//!   [`DevicePump::recover`]. Fault instants are safe-horizon
-//!   barriers, so a crash never lands mid-replay (asserted).
+//!   [`DevicePump::recover`].
 //! * **Brown-out** ([`DevicePump::set_bandwidth_factor`]) — forwarded
 //!   to the device; only newly dispatched transfers see the factor.
 //! * **Dropped wake-up** ([`DevicePump::plan_drop`]) — the `nth` live
 //!   wake-up's deliveries are parked instead of routed (the transfers
 //!   *did* complete on time inside the device — only the notification
 //!   is lost) and a watchdog redelivers them a fixed delay later.
-//!   Shards with drop state pending skip window pre-execution and run
-//!   the live sequential path, which keeps ordinal counting exact and
-//!   the run bit-identical across execution modes.
-
 //!
 //! ## Shard cache
 //!
@@ -78,8 +57,7 @@
 //! [`DevicePump::take_cache_arm`] exactly like the watchdog), and
 //! forwards only the misses to the device — a hit never touches the
 //! CSD queue, the scheduler, or a group switch. Miss deliveries fill
-//! the tiers at consumption time on *both* the live and the replay
-//! path, so windowed execution stays bit-identical, and a crash
+//! the tiers at consumption time, and a crash
 //! invalidates the whole cache (pending hits are displaced like
 //! aborted transfers and re-routed by the fleet — a dead shard can
 //! never serve a stale hit). No cache installed (or zero capacity)
@@ -94,7 +72,6 @@ use skipper_csd::cache::{CacheConfig, CacheStats, ShardCache};
 use skipper_csd::sched::PendingRequest;
 use skipper_csd::{CsdDevice, Delivery, GroupId, LedgerMode, ObjectId, QueryId};
 use skipper_relational::segment::Segment;
-use skipper_sim::parallel::{drain_chain, WindowBuffer, WindowDrain};
 use skipper_sim::{SimDuration, SimTime};
 
 /// One cache hit awaiting its tier-bandwidth completion.
@@ -157,15 +134,6 @@ pub struct DevicePump {
     /// pokes every shard after every event, and untouched shards must
     /// stay O(1) on that hot path.
     dirty: bool,
-    /// Replay log of the window drained ahead of the event loop
-    /// (always empty under sequential execution).
-    replay: WindowBuffer<Delivery<Arc<Segment>>>,
-    /// Staging buffer for one drained completion batch (reused).
-    stage: Vec<Delivery<Arc<Segment>>>,
-    /// Re-arm instant recorded with the replay entry just consumed,
-    /// handed out by the next `poke` so the wake-up chain stays
-    /// scheduled in the sequential order (deliveries route first).
-    pending_rearm: Option<SimTime>,
     /// Fault plane: the shard is crashed — no submits, no kicks.
     down: bool,
     /// Remaining drop-wakeup injections, in ordinal order:
@@ -191,9 +159,6 @@ impl DevicePump {
             device,
             armed_at: None,
             dirty: true,
-            replay: WindowBuffer::new(),
-            stage: Vec::new(),
-            pending_rearm: None,
             down: false,
             drops: VecDeque::new(),
             wakeup_count: 0,
@@ -228,11 +193,6 @@ impl DevicePump {
     /// — no CSD queue, no scheduler, no switch) and only misses reach
     /// the device.
     pub fn submit(&mut self, now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
-        assert!(
-            self.replay.is_empty() && self.pending_rearm.is_none(),
-            "submit landed inside a drained window (unsound safe horizon): \
-             a cross-shard interaction fired before the drained horizon"
-        );
         assert!(
             !self.down,
             "submit landed on a crashed shard (fleet routing bug)"
@@ -284,13 +244,6 @@ impl DevicePump {
     /// since its last poke is a no-op: nothing can have moved its
     /// earliest completion.
     pub fn poke(&mut self, now: SimTime) -> Option<SimTime> {
-        if !self.replay.is_empty() || self.pending_rearm.is_some() {
-            // Mid-replay: the device already executed this window; the
-            // only wake-up to schedule is the re-arm recorded with the
-            // entry just consumed (None while other shards' events
-            // fire — this shard's chain is already fully scheduled).
-            return self.pending_rearm.take();
-        }
         if !self.dirty {
             return None;
         }
@@ -338,27 +291,9 @@ impl DevicePump {
     /// superseded wake-up. Callers must [`DevicePump::poke`] again
     /// afterwards.
     pub fn on_wakeup_into(&mut self, now: SimTime, out: &mut Vec<Delivery<Arc<Segment>>>) {
-        // Cache completions fire first, on the live path in *both*
-        // execution modes — they never enter the replay log, so their
-        // position relative to same-instant device deliveries is
-        // identical either way.
+        // Cache completions fire first, ahead of same-instant device
+        // deliveries.
         self.pop_cache_ready(now, out);
-        if !self.replay.is_empty() {
-            // Windowed execution: the device already ran this instant
-            // during the drain. The front replay entry matching `now`
-            // is the live wake-up (its batch routes now, its re-arm
-            // goes out on the next poke); any other in-window event is
-            // a stale superseded wake-up, exactly as in the sequential
-            // armed-flag protocol. The device itself is untouched, so
-            // the pump stays clean.
-            if self.replay.next_at() == Some(now) {
-                debug_assert!(self.pending_rearm.is_none());
-                let start = out.len();
-                self.pending_rearm = self.replay.consume_into(now, out);
-                self.fill_from(now, out, start);
-            }
-            return;
-        }
         if self.redeliver_at == Some(now) {
             // The watchdog fires: release the batch withheld by the
             // dropped wake-up. The device completed these transfers on
@@ -441,9 +376,7 @@ impl DevicePump {
     }
 
     /// Fills the cache tiers from the miss deliveries in `out[start..]`
-    /// (no-op when uncached). Runs at delivery-consumption time on both
-    /// the live and the replay path, so the cache state at every
-    /// barrier is identical across execution modes.
+    /// (no-op when uncached). Runs at delivery-consumption time.
     fn fill_from(&mut self, now: SimTime, out: &[Delivery<Arc<Segment>>], start: usize) {
         let Some(state) = self.cache.as_deref_mut() else {
             return;
@@ -514,11 +447,6 @@ impl DevicePump {
         displaced: &mut Vec<PendingRequest>,
         completed: &mut Vec<Delivery<Arc<Segment>>>,
     ) -> usize {
-        assert!(
-            self.replay.is_empty() && self.pending_rearm.is_none(),
-            "shard crashed inside a drained window: fault instants must \
-             bound the safe horizon"
-        );
         assert!(!self.down, "shard crashed while already down");
         self.down = true;
         // Any armed wake-up event becomes stale; the watchdog event
@@ -566,13 +494,8 @@ impl DevicePump {
     /// left to complete — their deliveries arrive stale and are dropped
     /// at routing — and pending cache hits likewise deliver-and-drop,
     /// so the wake-up protocol is untouched. Returns the number of
-    /// requests removed. Cancel instants are noted interactions, so
-    /// this can never land mid-replay (asserted).
+    /// requests removed.
     pub fn cancel_query(&mut self, query: QueryId) -> usize {
-        assert!(
-            self.replay.is_empty() && self.pending_rearm.is_none(),
-            "cancel landed inside a drained window (unsound safe horizon)"
-        );
         if self.down {
             return 0; // failed empty: nothing queued on a crashed shard
         }
@@ -588,10 +511,6 @@ impl DevicePump {
     /// Returns whether a copy was found and removed; an in-flight or
     /// already-served copy delivers stale instead.
     pub fn cancel_object(&mut self, query: QueryId, object: ObjectId) -> bool {
-        assert!(
-            self.replay.is_empty() && self.pending_rearm.is_none(),
-            "cancel landed inside a drained window (unsound safe horizon)"
-        );
         if self.down {
             return false;
         }
@@ -612,21 +531,6 @@ impl DevicePump {
     /// True while the shard is crashed.
     pub fn is_down(&self) -> bool {
         self.down
-    }
-
-    /// The earliest instant this pump needs the event loop: the armed
-    /// device completion, the watchdog redelivery, or the earliest
-    /// pending cache completion, whichever first. The safe-horizon
-    /// computation relies on this covering *every* delivery source.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        let cache_next = self
-            .cache
-            .as_ref()
-            .and_then(|s| s.pending.peek().map(|p| p.0.ready));
-        [self.armed_at, self.redeliver_at, cache_next]
-            .into_iter()
-            .flatten()
-            .min()
     }
 
     /// True when the device is idle with an empty queue and the fault
@@ -661,23 +565,6 @@ impl DevicePump {
             .unwrap_or_default()
     }
 
-    /// True while fault state forces this shard onto the live
-    /// sequential path inside parallel windows: crashed, a drop
-    /// pending (live wake-ups must be counted), or a parked batch
-    /// awaiting its watchdog.
-    fn fault_bound(&self) -> bool {
-        self.down
-            || !self.drops.is_empty()
-            || !self.parked.is_empty()
-            || self.redeliver_at.is_some()
-    }
-
-    /// True when the pump's replay log still holds drained wake-ups
-    /// the event loop has not consumed yet.
-    pub fn replaying(&self) -> bool {
-        !self.replay.is_empty() || self.pending_rearm.is_some()
-    }
-
     /// The armed wake-up instant, if any (the device's earliest
     /// pending completion).
     pub fn armed_at(&self) -> Option<SimTime> {
@@ -693,42 +580,5 @@ impl DevicePump {
     /// spans and ledgers by move instead of cloning).
     pub fn into_device(self) -> CsdDevice<Arc<Segment>> {
         self.device
-    }
-}
-
-impl WindowDrain for DevicePump {
-    /// Pre-executes the device's completion chain strictly below
-    /// `horizon` into the replay log: the same `complete_into` +
-    /// `kick` pair the sequential loop runs at each wake-up, at the
-    /// same instants, so the log is exactly the sequential execution.
-    /// Pumps are always clean (poked) when a window opens — the loop
-    /// pokes after every mutating event — so no catch-up kick is
-    /// needed, and completion chains are time-monotone, keeping the
-    /// log ordered.
-    fn drain_window(&mut self, horizon: SimTime) {
-        if self.fault_bound() {
-            // Fault-affected shards skip pre-execution and take the
-            // live sequential path for every in-window event: a crashed
-            // shard has nothing to drain, and drop-wakeup accounting
-            // (ordinal counting, parking, watchdog) lives on the live
-            // path only. Sound because in-window deliveries land only
-            // on busy clients' inboxes (the horizon is bounded by
-            // `min_armed` — which includes this shard's wake-ups —
-            // whenever an idle live client exists), so the event order
-            // and results stay bit-identical to sequential.
-            return;
-        }
-        debug_assert!(!self.dirty, "window opened on an unpoked pump");
-        let device = &mut self.device;
-        drain_chain(
-            &mut self.armed_at,
-            horizon,
-            &mut self.replay,
-            &mut self.stage,
-            |at, out| {
-                device.complete_into(at, out);
-                device.kick(at)
-            },
-        );
     }
 }

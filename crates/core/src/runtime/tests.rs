@@ -622,127 +622,6 @@ fn staggered_workload_offsets_shift_first_submissions() {
 }
 
 // ---------------------------------------------------------------------
-// Windowed-parallel execution: the differential sweep pinning
-// `ExecutionMode::Parallel` bit-identical to the sequential reference.
-// Whole `RunResult`s are compared with `==`: delivery ledgers, switch
-// counts, makespans, per-shard metrics, spans, and every query record.
-
-/// One scenario per (policy, placement, streams) cell, multi-shard and
-/// staggered so Release events, fleet fan-out, and same-instant ties
-/// are all exercised.
-fn sweep_scenario(policy: SchedPolicy, placement: PlacementPolicy, streams: u32) -> Scenario {
-    let ds = mini_dataset();
-    let q = tpch::q12(&ds);
-    Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
-        .scheduler(policy)
-        .shards(4)
-        .placement(placement)
-        .streams(streams)
-        .stagger(SimDuration::from_secs(30))
-        .repeat_query(q, 2)
-}
-
-#[test]
-fn parallel_matches_sequential_across_policies() {
-    for policy in SchedPolicy::all() {
-        for placement in [
-            PlacementPolicy::RoundRobin,
-            PlacementPolicy::HashObject,
-            PlacementPolicy::TableAffinity,
-        ] {
-            for streams in [1, 4] {
-                let reference = sweep_scenario(policy, placement, streams).run();
-                for workers in [1, 2, 4] {
-                    let parallel = sweep_scenario(policy, placement, streams)
-                        .execution(ExecutionMode::Parallel { workers })
-                        .run();
-                    assert_eq!(
-                        parallel, reference,
-                        "parallel(workers={workers}) diverged from sequential \
-                         for {policy:?}/{placement:?}/streams={streams}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_identical_across_worker_counts() {
-    // Determinism: the same scenario at different worker counts must
-    // produce byte-identical results — parallelism is structural
-    // (shards never share state inside a window), so the thread
-    // interleaving cannot be observed.
-    let runs: Vec<RunResult> = [1usize, 2, 4]
-        .iter()
-        .map(|&workers| {
-            sweep_scenario(SchedPolicy::RankBased, PlacementPolicy::RoundRobin, 4)
-                .execution(ExecutionMode::Parallel { workers })
-                .run()
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[1], runs[2]);
-}
-
-#[test]
-fn parallel_matches_sequential_for_mixed_engines() {
-    // A pull-based Vanilla tenant makes every round-trip an
-    // interaction (degenerate windows), while the Skipper tenant's
-    // upfront batches leave wide ones — the mix exercises both the
-    // replay path and the inert-ClientReady promotion rule.
-    let ds = std::sync::Arc::new(mini_dataset());
-    let q = tpch::q12(&ds);
-    let build = || {
-        Scenario::from_workloads(vec![
-            Workload::new(std::sync::Arc::clone(&ds))
-                .repeat_query(q.clone(), 2)
-                .engine(SkipperFactory::default().cache_bytes(gib(10))),
-            Workload::new(std::sync::Arc::clone(&ds))
-                .repeat_query(q.clone(), 1)
-                .engine(VanillaFactory),
-            Workload::new(std::sync::Arc::clone(&ds))
-                .repeat_query(q.clone(), 1)
-                .engine(SkipperFactory::default().cache_bytes(gib(10)))
-                .start_at(SimDuration::from_secs(200)),
-        ])
-        .shards(2)
-        .placement(PlacementPolicy::RoundRobin)
-        .streams(2)
-    };
-    let reference = build().run();
-    for workers in [1, 2, 4] {
-        let parallel = build().execution(ExecutionMode::Parallel { workers }).run();
-        assert_eq!(
-            parallel, reference,
-            "mixed-engine parallel(workers={workers}) diverged from sequential"
-        );
-    }
-}
-
-#[test]
-fn parallel_single_shard_replays_single_device_schedule() {
-    // The 1-shard fleet is the seed's single-device runtime; windowed
-    // execution must preserve it exactly too.
-    let build = || {
-        let ds = mini_dataset();
-        let q = tpch::q12(&ds);
-        Scenario::new(ds)
-            .clients(2)
-            .engine(EngineKind::Vanilla)
-            .repeat_query(q, 1)
-    };
-    let reference = build().run();
-    let parallel = build()
-        .execution(ExecutionMode::Parallel { workers: 4 })
-        .run();
-    assert_eq!(parallel, reference);
-}
-
-// ---------------------------------------------------------------------
 // Open-arrival latency: queue-wait in response time, the internet-scale
 // traffic shapes, and the streaming tail-latency summary.
 
@@ -793,11 +672,11 @@ fn queued_release_makes_response_time_exceed_duration() {
     assert!((res.latency.fleet.mean_secs - expect_mean).abs() < 1e-12);
 }
 
-/// Every new arrival shape × {Sequential, Parallel} must produce
-/// byte-equal `RunResult`s — the differential battery extended over the
-/// traffic vocabulary (the latency summary is part of the equality).
+/// Every arrival shape on a multi-shard mixed-engine fleet must produce
+/// byte-equal `RunResult`s across repeated runs (the latency summary
+/// is part of the equality).
 #[test]
-fn arrival_shapes_are_execution_mode_invariant() {
+fn arrival_shapes_are_deterministic_across_runs() {
     let shapes: Vec<(&str, ArrivalProcess)> = vec![
         (
             "poisson",
@@ -854,15 +733,11 @@ fn arrival_shapes_are_execution_mode_invariant() {
             .streams(2)
         };
         let reference = build(arrival.clone()).run();
-        for workers in [2, 4] {
-            let parallel = build(arrival.clone())
-                .execution(ExecutionMode::Parallel { workers })
-                .run();
-            assert_eq!(
-                parallel, reference,
-                "{label} arrivals diverged under Parallel {{ workers: {workers} }}"
-            );
-        }
+        let repeat = build(arrival).run();
+        assert_eq!(
+            repeat, reference,
+            "{label} arrivals: same config, different run"
+        );
     }
 }
 
@@ -939,8 +814,8 @@ fn latency_summary_quantiles_match_exact_records() {
 // ---------------------------------------------------------------------
 // Fault plane: seeded failures, k-replica failover, degraded serving.
 // The chaos battery pins (1) delivery-multiset conservation through
-// every failover path, (2) byte-equal determinism across repeated runs
-// and execution modes, (3) the empty plan leaving runs untouched.
+// every failover path, (2) byte-equal determinism across repeated runs,
+// (3) the empty plan leaving runs untouched.
 
 /// The chaos cell: 3 staggered Skipper tenants over 4 shards, with a
 /// configurable placement and fault plan.
@@ -1015,12 +890,10 @@ fn mid_run_crash_fails_over_with_multiset_conserved() {
 }
 
 #[test]
-fn chaos_grid_is_deterministic_and_execution_mode_invariant() {
-    // The differential battery's fault cells: explicit crash + seeded
-    // crash stream + brown-out + dropped wake-up, all in one plan,
-    // across Sequential and Parallel at several worker counts, plus a
-    // repeated-run determinism check. Whole RunResults compare with
-    // `==` — availability summary and per-shard fault counters
+fn chaos_grid_is_deterministic() {
+    // Explicit crash + seeded crash stream + brown-out + dropped
+    // wake-up, all in one plan, run twice. Whole RunResults compare
+    // with `==` — availability summary and per-shard fault counters
     // included.
     let plan = || {
         FaultPlan::new()
@@ -1038,15 +911,6 @@ fn chaos_grid_is_deterministic_and_execution_mode_invariant() {
     let reference = chaos_scenario(replicated_rr(2), plan()).run();
     let repeat = chaos_scenario(replicated_rr(2), plan()).run();
     assert_eq!(repeat, reference, "same seeded plan, different run");
-    for workers in [1, 2, 4] {
-        let parallel = chaos_scenario(replicated_rr(2), plan())
-            .execution(ExecutionMode::Parallel { workers })
-            .run();
-        assert_eq!(
-            parallel, reference,
-            "chaos run diverged under Parallel {{ workers: {workers} }}"
-        );
-    }
     // The plan really did something.
     assert!(reference.availability.fault_events >= 4);
     // And conserved the work anyway.
@@ -1202,35 +1066,43 @@ fn scenario_slo_target_feeds_attainment_counters() {
 }
 
 #[test]
-fn parallel_matches_sequential_with_shard_caches() {
-    // The cache extends the differential battery: hit completions are
-    // pump-local wake-ups that never enter the replay log, so the
-    // windowed drive must reproduce the sequential schedule exactly in
-    // every cache configuration — DRAM-only, two-tier, every policy.
+fn shard_cache_runs_are_deterministic() {
+    // Every cache configuration — DRAM-only, two-tier, every policy —
+    // must reproduce its schedule exactly across repeated runs.
     use skipper_csd::cache::{CacheConfig, CachePolicy};
     let configs = [
         CacheConfig::dram_only(2 << 30),
         CacheConfig::dram_only(6 << 30).with_policy(CachePolicy::Clock),
         CacheConfig::two_tier(2 << 30, 4 << 30).with_policy(CachePolicy::GroupAware),
     ];
-    for config in configs {
-        let reference = sweep_scenario(SchedPolicy::RankBased, PlacementPolicy::RoundRobin, 2)
+    // Multi-shard and staggered, so Release events, fleet fan-out, and
+    // same-instant ties are all exercised.
+    let build = |config: CacheConfig| {
+        let ds = mini_dataset();
+        let q = tpch::q12(&ds);
+        Scenario::new(ds)
+            .clients(3)
+            .engine(EngineKind::Skipper)
+            .cache_bytes(gib(10))
+            .scheduler(SchedPolicy::RankBased)
+            .shards(4)
+            .placement(PlacementPolicy::RoundRobin)
+            .streams(2)
+            .stagger(SimDuration::from_secs(30))
+            .repeat_query(q, 2)
             .shard_cache(config)
-            .run();
+    };
+    for config in configs {
+        let reference = build(config).run();
         assert!(
             reference.cache.hits() > 0,
             "{config:?}: repeat rounds never hit the cache"
         );
-        for workers in [1, 2, 4] {
-            let parallel = sweep_scenario(SchedPolicy::RankBased, PlacementPolicy::RoundRobin, 2)
-                .shard_cache(config)
-                .execution(ExecutionMode::Parallel { workers })
-                .run();
-            assert_eq!(
-                parallel, reference,
-                "cached parallel(workers={workers}) diverged for {config:?}"
-            );
-        }
+        assert_eq!(
+            build(config).run(),
+            reference,
+            "{config:?}: same config, different run"
+        );
     }
 }
 
@@ -1239,8 +1111,8 @@ fn parallel_matches_sequential_with_shard_caches() {
 // admission control. The battery pins (1) the disabled configuration
 // reproducing the unprotected machine byte-exactly, (2) each mechanism's
 // behavior and accounting, (3) conservation under hedging (at-most-once
-// *consumption*), and (4) bit-identity across execution modes and
-// repeats for every protection feature.
+// *consumption*), and (4) bit-identity across repeats for every
+// protection feature.
 
 fn backoff(base_s: u64, cap_s: u64, max_attempts: u32) -> RetryPolicy {
     RetryPolicy::Backoff {
@@ -1498,11 +1370,10 @@ fn breaker_routes_reads_around_a_browned_out_shard() {
 }
 
 #[test]
-fn protection_grid_is_deterministic_and_execution_mode_invariant() {
-    // The differential battery extended over the protection plane: each
-    // cell runs the full feature set it names, and whole RunResults —
-    // protection counters and consumption log included — must be
-    // byte-equal across repeats and execution modes.
+fn protection_grid_is_deterministic() {
+    // Each cell runs the full feature set it names, and whole
+    // RunResults — protection counters and consumption log included —
+    // must be byte-equal across repeats.
     type Cell = (&'static str, Box<dyn Fn() -> Scenario>);
     let cells: Vec<Cell> = vec![
         (
@@ -1560,14 +1431,58 @@ fn protection_grid_is_deterministic_and_execution_mode_invariant() {
         let reference = build().run();
         let repeat = build().run();
         assert_eq!(repeat, reference, "{name}: same config, different run");
-        for workers in [1, 2, 4] {
-            let parallel = build().execution(ExecutionMode::Parallel { workers }).run();
-            assert_eq!(
-                parallel, reference,
-                "{name}: diverged under Parallel {{ workers: {workers} }}"
-            );
-        }
     }
+}
+
+/// Regression: open arrivals + a deadline + a brown-out on a cached
+/// two-shard fleet once tripped a soundness assert in the old windowed
+/// execution mode. The single event loop must run it to completion,
+/// balance every tenant's ledger, and repeat byte-equal.
+#[test]
+fn open_arrivals_with_deadline_under_brownout_complete_and_balance() {
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(7, 4).with_phys_divisor(100_000),
+    ));
+    let q = tpch::q12(&ds);
+    let build = || {
+        let tenants = (0..4u64)
+            .map(|i| {
+                Workload::new(Arc::clone(&ds))
+                    .repeat_query(q.clone(), 4)
+                    .engine(SkipperFactory::default().cache_bytes(12 << 30))
+                    .priority((i % 2) as u32)
+                    .arrival(ArrivalProcess::Poisson {
+                        mean: SimDuration::from_secs(20),
+                        seed: 31 + i,
+                    })
+            })
+            .collect();
+        Scenario::from_workloads(tenants)
+            .shards(2)
+            .placement(PlacementPolicy::RoundRobin)
+            .scheduler(SchedPolicy::FcfsObject)
+            .seed(31)
+            .shard_cache(CacheConfig::dram_only(4 << 30))
+            .deadline(SimDuration::from_secs(200))
+            .faults(FaultPlan::new().degraded(1, t(10), t(200), 0.2))
+    };
+    let res = build().run();
+    let tenants = &res.protection.per_tenant;
+    for (c, tp) in tenants.iter().enumerate() {
+        assert_eq!(tp.offered, 4, "tenant {c}");
+        assert_eq!(
+            tp.offered,
+            tp.completed + tp.deadline_misses + tp.shed,
+            "tenant {c}: unbalanced ledger {tp:?}"
+        );
+    }
+    let completed: Vec<u64> = tenants.iter().map(|tp| tp.completed).collect();
+    let misses: Vec<u64> = tenants.iter().map(|tp| tp.deadline_misses).collect();
+    assert_eq!(completed, [2, 0, 3, 1]);
+    assert_eq!(misses, [2, 4, 1, 3]);
+    assert_eq!(res.latency.fleet.count, completed.iter().sum::<u64>());
+    assert_eq!(res.makespan.as_micros(), 323_550_247);
+    assert_eq!(build().run(), res, "same config, different run");
 }
 
 #[test]

@@ -345,7 +345,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// brown-out; `1.0` restores nominal service). Only transfers
     /// dispatched from now on see the new rate — in-flight completion
     /// instants are already committed, which keeps the change
-    /// deterministic under windowed execution.
+    /// deterministic.
     ///
     /// # Panics
     /// Panics unless `0 < factor <= 1`.

@@ -301,9 +301,9 @@ impl GroupLens<'_> {
 /// A group-switch scheduling policy.
 ///
 /// `Send` is a supertrait so a boxed policy — and with it the whole
-/// device — can be drained on a worker thread by the shard-parallel
-/// window execution; policies are plain state machines, so the bound
-/// costs nothing.
+/// device — can move to another thread (say, one independent scenario
+/// per thread); policies are plain state machines, so the bound costs
+/// nothing.
 pub trait GroupScheduler: Send {
     /// Policy name for reports.
     fn name(&self) -> &'static str;

@@ -20,12 +20,6 @@
 //!   the full span log and bounded-memory running counters;
 //!   [`MergedTimeline`] flattens a fleet's span lists once for
 //!   O(log n)-per-interval whole-run attribution.
-//! * [`parallel`] — conservative time-window machinery for
-//!   shard-parallel execution: safe-horizon tracking
-//!   ([`HorizonTracker`]), per-shard replay logs ([`WindowBuffer`]),
-//!   and the scoped worker pool ([`parallel::drain_parallel`]) that
-//!   drains shards concurrently while keeping runs bit-identical to
-//!   the sequential loop.
 //! * [`stats`] — scheduling metrics: stretch, L2-norm of stretch
 //!   (Figure 12), and small online-statistics helpers.
 //! * [`timeline`] — ASCII Gantt rendering of device activity for
@@ -41,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod parallel;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -49,7 +42,6 @@ pub mod timeline;
 pub mod trace;
 
 pub use event::{CalendarQueue, EventQueue, EventSink};
-pub use parallel::{HorizonTracker, WindowBuffer, WindowDrain};
 pub use stats::QuantileSketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
