@@ -17,7 +17,7 @@
 //!   (they participate in every subplan) — the star-schema-friendly side
 //!   effect called out in §4.2.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use skipper_relational::ops::index::SegmentIndex;
 
@@ -43,32 +43,51 @@ impl EvictionPolicy {
     }
 }
 
-/// A cached object: its hash indexes plus accounting size.
+/// A cached object: its hash index plus accounting size.
+///
+/// The index is usually the one shared by every execution of the query
+/// on the dataset ([`skipper_relational::prepared::PreparedQuery`]), so
+/// a cache entry is a reference, not a private copy. Sharing it is
+/// host-side memoization: capacity is charged per entry as if the index
+/// were private, and evicting the entry frees that capacity.
 pub struct CacheSlot {
     /// Filter survivors + hash indexes of the shared segment.
-    pub index: SegmentIndex,
+    pub index: Arc<SegmentIndex>,
     /// Logical bytes charged against cache capacity.
     pub bytes: u64,
 }
 
+impl AsRef<SegmentIndex> for CacheSlot {
+    fn as_ref(&self) -> &SegmentIndex {
+        &self.index
+    }
+}
+
 /// The MJoin buffer cache: capacity-bounded map from objects to their
-/// per-segment hash indexes.
+/// per-segment hash indexes, kept per relation in ascending segment
+/// order (deterministic iteration gives stable victim tie-breaks).
 pub struct BufferCache {
     capacity_bytes: u64,
     used_bytes: u64,
     policy: EvictionPolicy,
-    /// BTreeMap for deterministic iteration (stable victim tie-breaks).
-    slots: BTreeMap<RelSeg, CacheSlot>,
+    /// `segs[r]`: relation `r`'s cached segments, ascending.
+    segs: Vec<Vec<u32>>,
+    /// `slots[r]`: the same segments with their slots.
+    slots: Vec<Vec<(u32, CacheSlot)>>,
 }
 
 impl BufferCache {
-    /// Creates a cache of `capacity_bytes` with the given policy.
-    pub fn new(capacity_bytes: u64, policy: EvictionPolicy) -> Self {
+    /// Creates a cache of `capacity_bytes` with the given policy for a
+    /// query of `num_relations` relations.
+    pub fn new(capacity_bytes: u64, policy: EvictionPolicy, num_relations: usize) -> Self {
         BufferCache {
             capacity_bytes,
             used_bytes: 0,
             policy,
-            slots: BTreeMap::new(),
+            segs: vec![Vec::new(); num_relations],
+            slots: std::iter::repeat_with(Vec::new)
+                .take(num_relations)
+                .collect(),
         }
     }
 
@@ -84,40 +103,45 @@ impl BufferCache {
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.segs.iter().map(Vec::len).sum()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.segs.iter().all(Vec::is_empty)
+    }
+
+    /// Position of `obj` in its relation's lists.
+    fn position(&self, (rel, seg): RelSeg) -> Result<usize, usize> {
+        self.segs[rel].binary_search(&seg)
     }
 
     /// Whether `obj` is cached.
     pub fn contains(&self, obj: RelSeg) -> bool {
-        self.slots.contains_key(&obj)
+        self.position(obj).is_ok()
     }
 
-    /// The cached index of `obj`.
+    /// The cached slot of `obj`.
     ///
     /// # Panics
     /// Panics if absent — subplan execution only references cached
     /// objects.
-    #[allow(clippy::should_implement_trait)] // returns a SegmentIndex, not Output
-    pub fn index(&self, obj: RelSeg) -> &SegmentIndex {
-        &self
-            .slots
-            .get(&obj)
-            .unwrap_or_else(|| panic!("object {obj:?} not cached"))
-            .index
+    pub fn slot(&self, obj: RelSeg) -> &CacheSlot {
+        let pos = self
+            .position(obj)
+            .unwrap_or_else(|_| panic!("object {obj:?} not cached"));
+        &self.slots[obj.0][pos].1
     }
 
-    /// Cached segments grouped by relation (`out[r]` sorted ascending).
-    pub fn cached_by_rel(&self, num_relations: usize) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); num_relations];
-        for &(rel, seg) in self.slots.keys() {
-            out[rel].push(seg);
-        }
-        out
+    /// Cached segments grouped by relation (`[r]` ascending).
+    pub fn cached_by_rel(&self) -> &[Vec<u32>] {
+        &self.segs
+    }
+
+    /// Cached `(segment, slot)` pairs grouped by relation (`[r]`
+    /// ascending) — the candidate lists of arrival-rooted execution.
+    pub fn slots_by_rel(&self) -> &[Vec<(u32, CacheSlot)>] {
+        &self.slots
     }
 
     /// Selects eviction victims to make room for `incoming` of
@@ -144,9 +168,10 @@ impl BufferCache {
         while self.used_bytes - freed + incoming_bytes > self.capacity_bytes {
             // Remaining candidates (not already chosen, not pinned).
             let remaining: Vec<RelSeg> = self
-                .slots
-                .keys()
-                .copied()
+                .segs
+                .iter()
+                .enumerate()
+                .flat_map(|(rel, segs)| segs.iter().map(move |&seg| (rel, seg)))
                 .filter(|o| !victims.contains(o) && !pinned.contains(o))
                 .collect();
             // Progress guard: evicting a relation's *only* cached segment
@@ -183,7 +208,7 @@ impl BufferCache {
                 EvictionPolicy::MaximalProgress => {
                     // Score against the cache minus already-chosen victims,
                     // plus the incoming object.
-                    let mut cached = self.cached_by_rel(tracker.num_relations());
+                    let mut cached = self.segs.clone();
                     for &(rel, seg) in &victims {
                         cached[rel].retain(|&s| s != seg);
                     }
@@ -196,7 +221,7 @@ impl BufferCache {
                         .expect("non-empty candidates")
                 }
             };
-            freed += self.slots[&victim].bytes;
+            freed += self.slot(victim).bytes;
             victims.push(victim);
         }
         victims
@@ -211,9 +236,13 @@ impl BufferCache {
             self.used_bytes + slot.bytes <= self.capacity_bytes,
             "cache overflow inserting {obj:?}"
         );
+        let pos = match self.position(obj) {
+            Ok(_) => panic!("object {obj:?} cached twice"),
+            Err(pos) => pos,
+        };
         self.used_bytes += slot.bytes;
-        let prev = self.slots.insert(obj, slot);
-        assert!(prev.is_none(), "object {obj:?} cached twice");
+        self.segs[obj.0].insert(pos, obj.1);
+        self.slots[obj.0].insert(pos, (obj.1, slot));
     }
 
     /// Removes `obj`, returning its slot.
@@ -221,10 +250,11 @@ impl BufferCache {
     /// # Panics
     /// Panics if absent.
     pub fn remove(&mut self, obj: RelSeg) -> CacheSlot {
-        let slot = self
-            .slots
-            .remove(&obj)
-            .unwrap_or_else(|| panic!("evicting uncached object {obj:?}"));
+        let pos = self
+            .position(obj)
+            .unwrap_or_else(|_| panic!("evicting uncached object {obj:?}"));
+        self.segs[obj.0].remove(pos);
+        let (_, slot) = self.slots[obj.0].remove(pos);
         self.used_bytes -= slot.bytes;
         slot
     }
@@ -240,7 +270,7 @@ mod tests {
     fn slot(bytes: u64) -> CacheSlot {
         let seg = Segment::new(Schema::of(&[("k", DataType::Int)]), vec![row![1i64]]).unwrap();
         CacheSlot {
-            index: SegmentIndex::build(std::sync::Arc::new(seg), None, &[0]),
+            index: Arc::new(SegmentIndex::build(Arc::new(seg), None, &[0])),
             bytes,
         }
     }
@@ -252,7 +282,7 @@ mod tests {
         let mut tracker = SubplanTracker::new(&[2, 2, 2]);
         tracker.mark_executed(&[0, 0, 1]);
         tracker.mark_executed(&[1, 0, 1]);
-        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress, 3);
         for obj in [(0usize, 0u32), (1, 0), (0, 1), (2, 1)] {
             cache.insert(obj, slot(1));
         }
@@ -286,7 +316,7 @@ mod tests {
         // arriving segment of relation 0 replaces relation 0's cached
         // segment, never a partner's sole representative.
         let tracker = SubplanTracker::new(&[3, 1, 1]);
-        let mut cache = BufferCache::new(3, EvictionPolicy::MaxPendingSubplans);
+        let mut cache = BufferCache::new(3, EvictionPolicy::MaxPendingSubplans, 3);
         cache.insert((0, 0), slot(1));
         cache.insert((1, 0), slot(1));
         cache.insert((2, 0), slot(1));
@@ -302,7 +332,7 @@ mod tests {
         let mut tracker = SubplanTracker::new(&[4, 1, 1]);
         tracker.mark_executed(&[0, 0, 0]);
         tracker.mark_executed(&[1, 0, 0]);
-        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress, 3);
         cache.insert((0, 0), slot(1));
         cache.insert((0, 1), slot(1));
         cache.insert((1, 0), slot(1));
@@ -315,7 +345,7 @@ mod tests {
     #[test]
     fn multi_victim_eviction_recomputes() {
         let tracker = SubplanTracker::new(&[3, 1]);
-        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress, 2);
         cache.insert((0, 0), slot(2));
         cache.insert((0, 1), slot(1));
         cache.insert((1, 0), slot(1));
@@ -328,14 +358,14 @@ mod tests {
     #[test]
     fn no_eviction_when_room() {
         let tracker = SubplanTracker::new(&[2, 1]);
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress, 2);
         cache.insert((0, 0), slot(1));
         assert!(cache.select_victims(&tracker, (0, 1), 1, &[]).is_empty());
     }
 
     #[test]
     fn accounting_roundtrip() {
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress, 1);
         cache.insert((0, 0), slot(4));
         assert_eq!(cache.used(), 4);
         assert!(cache.contains((0, 0)));
@@ -348,25 +378,29 @@ mod tests {
 
     #[test]
     fn cached_by_rel_sorted() {
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress, 2);
         cache.insert((1, 5), slot(1));
         cache.insert((0, 2), slot(1));
         cache.insert((1, 1), slot(1));
-        assert_eq!(cache.cached_by_rel(2), vec![vec![2], vec![1, 5]]);
+        assert_eq!(cache.cached_by_rel(), &[vec![2], vec![1, 5]]);
+        let slotted: Vec<u32> = cache.slots_by_rel()[1].iter().map(|&(s, _)| s).collect();
+        assert_eq!(slotted, vec![1, 5]);
+        cache.remove((1, 1));
+        assert_eq!(cache.cached_by_rel(), &[vec![2], vec![5]]);
     }
 
     #[test]
     #[should_panic(expected = "cannot hold object")]
     fn oversized_object_panics() {
         let tracker = SubplanTracker::new(&[1, 1]);
-        let cache = BufferCache::new(2, EvictionPolicy::MaximalProgress);
+        let cache = BufferCache::new(2, EvictionPolicy::MaximalProgress, 2);
         cache.select_victims(&tracker, (0, 0), 5, &[]);
     }
 
     #[test]
     #[should_panic(expected = "cached twice")]
     fn duplicate_insert_panics() {
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress, 1);
         cache.insert((0, 0), slot(1));
         cache.insert((0, 0), slot(1));
     }

@@ -1584,3 +1584,46 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
     );
     assert!(fleet.is_quiescent());
 }
+
+/// Shared preparations are host-side memoization only: a run whose
+/// dataset already holds every plan and segment index (a warm memo)
+/// equals the run that built them, in every virtual-time output and in
+/// the engines' scan, build, probe and subplan counts.
+#[test]
+fn warm_preparations_leave_runs_and_engine_work_unchanged() {
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let build = || {
+        // One roomy tenant and one whose 2-object cache must evict.
+        let tenants = [gib(10), gib(2)]
+            .into_iter()
+            .map(|cache| {
+                Workload::new(Arc::clone(&ds))
+                    .repeat_query(q.clone(), 3)
+                    .engine(SkipperFactory::default().cache_bytes(cache))
+            })
+            .collect();
+        Scenario::from_workloads(tenants)
+    };
+    let work = |res: &RunResult| {
+        res.records().fold([0u64; 4], |acc, rec| {
+            let s = rec.stats;
+            [
+                acc[0] + s.scanned_tuples,
+                acc[1] + s.built_tuples,
+                acc[2] + s.probe_ops,
+                acc[3] + s.subplans_executed,
+            ]
+        })
+    };
+    let cold = build().run();
+    assert_eq!(
+        ds.prepare(&q).built_indexes(),
+        ds.objects_for_query(&q) as usize,
+        "the first run fills the dataset's memo"
+    );
+    let warm = build().run();
+    assert!(work(&cold).iter().all(|&n| n > 0));
+    assert_eq!(work(&cold), work(&warm));
+    assert_eq!(cold, warm);
+}

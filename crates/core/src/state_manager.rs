@@ -13,13 +13,22 @@
 //! The §5.2.4 subplan-pruning optimization is implemented at admission:
 //! an object with zero filter-surviving tuples is pruned instead of
 //! cached, eliminating every subplan containing it.
+//!
+//! Prepared state is host-side memoization only. What depends on the
+//! spec and the dataset alone (validation, rooted probe plans, table
+//! geometry and each segment's filtered hash index) is computed once per
+//! dataset in a [`PreparedQuery`] that every execution of an equal spec
+//! shares (see [`Dataset::prepare`]). The engine keeps only its own
+//! execution state. Virtual time does not see the sharing: every
+//! admitted delivery is still charged its scan and hash build (§4.1)
+//! from the index's counts, as if this engine had built it.
 
 use std::sync::Arc;
 
 use skipper_csd::ObjectId;
-use skipper_relational::join_graph::ProbePlan;
 use skipper_relational::ops::index::SegmentIndex;
 use skipper_relational::ops::nary;
+use skipper_relational::prepared::PreparedQuery;
 use skipper_relational::query::{Aggregator, QuerySpec};
 use skipper_relational::segment::Segment;
 use skipper_relational::tuple::Row;
@@ -32,26 +41,30 @@ use crate::cache::{BufferCache, CacheSlot, EvictionPolicy};
 use crate::config::CostModel;
 use crate::engine::{EngineStats, QueryEngine, Reaction};
 use crate::proxy::ClientProxy;
-use crate::subplan::{RelSeg, SubplanTracker};
+use crate::subplan::{RelSeg, SubplanTracker, MAX_RELATIONS};
+
+// The rooted join kernel holds one row per relation on the stack.
+const _: () = assert!(MAX_RELATIONS <= nary::MAX_ROOTED_RELATIONS);
+
+// Prepared queries are shared through the dataset, so it must stay
+// shareable across threads (sweep cells may run on a scoped pool).
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<Dataset>()
+};
 
 /// Skipper's cache-state-aware MJoin execution of one query.
 pub struct SkipperEngine {
-    spec: QuerySpec,
-    /// One probe plan per relation, rooted at that relation (arrival-
-    /// rooted symmetric-hash execution).
-    rooted_plans: Vec<ProbePlan>,
+    /// The query's plans, geometry and shared per-segment indexes.
+    prepared: Arc<PreparedQuery>,
     proxy: ClientProxy,
     cache: BufferCache,
     tracker: SubplanTracker,
     agg: Aggregator,
     cost: CostModel,
-    /// Logical-to-physical row scale per relation.
-    scales: Vec<f64>,
-    /// Logical bytes per segment, per relation.
-    seg_bytes: Vec<u64>,
-    /// Segment payload filters/join columns.
-    join_cols: Vec<Vec<usize>>,
     outstanding: Vec<ObjectId>,
+    /// Reused buffer: subplans runnable with the current arrival.
+    runnable: Vec<u32>,
     prune_empty: bool,
     stats: EngineStats,
     finished: bool,
@@ -74,7 +87,9 @@ impl SkipperEngine {
     ///
     /// `cache_bytes` is the MJoin buffer cache capacity (the paper's
     /// per-client "cache size"); it must hold at least one segment per
-    /// query relation.
+    /// query relation. The spec is prepared through
+    /// [`Dataset::prepare`], so equal specs on one dataset share plans
+    /// and indexes.
     pub fn new(
         tenant: u16,
         dataset: &Dataset,
@@ -84,54 +99,30 @@ impl SkipperEngine {
         cost: CostModel,
         prune_empty: bool,
     ) -> Self {
-        spec.validate();
-        let rooted_plans: Vec<ProbePlan> = (0..spec.num_relations())
-            .map(|r| ProbePlan::plan_rooted(&spec, r).expect("workload query must be plannable"))
-            .collect();
-        let rel_tables = dataset.query_table_indexes(&spec);
-        let mut seg_counts = Vec::new();
-        let mut scales = Vec::new();
-        let mut seg_bytes = Vec::new();
-        for &t in &rel_tables {
-            let def = dataset.catalog.table(t);
-            seg_counts.push(def.segment_count);
-            let phys = dataset.segments[t]
-                .first()
-                .map(|s| s.len().max(1))
-                .unwrap_or(1) as f64;
-            scales.push(def.logical_rows_per_segment as f64 / phys);
-            seg_bytes.push(def.logical_bytes_per_segment);
-        }
-        let max_seg = seg_bytes.iter().copied().max().unwrap_or(0);
+        let prepared = dataset.prepare(&spec);
+        let relations = prepared.relations();
+        let max_seg = relations.iter().map(|r| r.seg_bytes).max().unwrap_or(0);
         assert!(
-            cache_bytes >= max_seg * spec.tables.len() as u64,
+            cache_bytes >= max_seg * relations.len() as u64,
             "MJoin cache ({cache_bytes} B) must hold at least one segment per \
              relation ({} × {max_seg} B) for subplans to make progress",
-            spec.tables.len()
+            relations.len()
         );
-        let join_cols = (0..spec.num_relations())
-            .map(|r| spec.join_cols(r))
-            .collect();
-        let agg = Aggregator::for_query(&spec);
-        let tracker = SubplanTracker::new(&seg_counts);
         SkipperEngine {
-            proxy: ClientProxy::new(tenant, rel_tables.iter().map(|&t| t as u16).collect()),
-            cache: BufferCache::new(cache_bytes, policy),
-            tracker,
-            agg,
+            proxy: ClientProxy::new(tenant, relations.iter().map(|r| r.table as u16).collect()),
+            cache: BufferCache::new(cache_bytes, policy, relations.len()),
+            tracker: SubplanTracker::new(prepared.seg_counts()),
+            agg: prepared.aggregator(),
             cost,
-            scales,
-            seg_bytes,
-            join_cols,
             outstanding: Vec::new(),
+            runnable: Vec::new(),
             prune_empty,
             stats: EngineStats::default(),
             finished: false,
             cycle_executed: 0,
             stalled_states: std::collections::HashSet::new(),
             degraded_target: None,
-            rooted_plans,
-            spec,
+            prepared,
         }
     }
 
@@ -148,40 +139,35 @@ impl SkipperEngine {
         ids
     }
 
-    /// Executes every subplan that became runnable with `arrived`, in one
-    /// arrival-rooted pass: the new segment's tuples probe the cached
-    /// unions of the other relations (symmetric-hash MJoin semantics, the
-    /// paper's best-case `O(S×R)` complexity at full cache). Combinations
-    /// executed in earlier reissue cycles are filtered at emit time so
-    /// refetched objects never double-count.
-    fn execute_runnable(&mut self, arrived: RelSeg, processing: &mut SimDuration) {
-        let n = self.tracker.num_relations();
-        let cached = self.cache.cached_by_rel(n);
-        let runnable = self.tracker.runnable_with(&cached, arrived);
-        if runnable.is_empty() {
+    /// Executes every subplan that became runnable with `arrived`, whose
+    /// index is `index`, in one arrival-rooted pass: the new segment's
+    /// tuples probe the cached unions of the other relations
+    /// (symmetric-hash MJoin semantics, the paper's best-case `O(S×R)`
+    /// complexity at full cache). Combinations executed in earlier
+    /// reissue cycles are filtered at emit time so refetched objects
+    /// never double-count.
+    fn execute_runnable(
+        &mut self,
+        arrived: RelSeg,
+        index: &SegmentIndex,
+        processing: &mut SimDuration,
+    ) {
+        self.tracker
+            .runnable_with(self.cache.cached_by_rel(), arrived, &mut self.runnable);
+        if self.runnable.is_empty() {
             return;
         }
-        let candidates: Vec<Vec<(u32, &SegmentIndex)>> = (0..n)
-            .map(|r| {
-                if r == arrived.0 {
-                    vec![(arrived.1, self.cache.index(arrived))]
-                } else {
-                    cached[r]
-                        .iter()
-                        .map(|&seg| (seg, self.cache.index((r, seg))))
-                        .collect()
-                }
-            })
-            .collect();
+        let relation = &self.prepared.relations()[arrived.0];
         let tracker = &self.tracker;
         let agg = &mut self.agg;
         let work = nary::execute_rooted(
-            &self.rooted_plans[arrived.0],
-            &candidates,
+            &relation.plan,
+            (arrived.1, index),
+            self.cache.slots_by_rel(),
             &|combo| tracker.is_executed(combo),
             &mut |rows| agg.update(rows),
         );
-        let arrived_scale = self.scales[arrived.0];
+        let arrived_scale = relation.scale;
         self.stats.probe_ops += work.probes as u64;
         self.stats.emitted_rows += work.emitted as u64;
         *processing +=
@@ -192,8 +178,8 @@ impl SkipperEngine {
                     arrived_scale,
                     self.cost.emit_ns_per_row,
                 );
-        for combo in runnable {
-            let first = self.tracker.mark_executed(&combo);
+        for combo in self.runnable.chunks_exact(self.tracker.num_relations()) {
+            let first = self.tracker.mark_executed(combo);
             debug_assert!(first, "subplan executed twice: {combo:?}");
             self.stats.subplans_executed += 1;
             self.cycle_executed += 1;
@@ -237,14 +223,10 @@ impl QueryEngine for SkipperEngine {
         // are dropped without caching.
         if !self.finished && self.tracker.pending_count(obj) > 0 {
             debug_assert!(!self.cache.contains(obj), "delivered object already cached");
-            // Scan + filter + symmetric-hash build (charged at logical
-            // scale).
-            let index = SegmentIndex::build(
-                Arc::clone(payload),
-                self.spec.filters[rel].as_ref(),
-                &self.join_cols[rel],
-            );
-            let scale = self.scales[rel];
+            // Scan + filter + symmetric-hash build, charged at logical
+            // scale on every admission even when the index is shared.
+            let index = self.prepared.index(rel, object.segment, payload);
+            let scale = self.prepared.relations()[rel].scale;
             self.stats.scanned_tuples += index.stats().scanned as u64;
             self.stats.built_tuples += index.entries() as u64;
             processing +=
@@ -264,7 +246,7 @@ impl QueryEngine for SkipperEngine {
                 // Pruning can make progress without executing subplans.
                 self.cycle_executed += 1;
             } else {
-                let bytes = self.seg_bytes[rel];
+                let bytes = self.prepared.relations()[rel].seg_bytes;
                 let pinned: Vec<RelSeg> = self
                     .degraded_target
                     .as_ref()
@@ -283,8 +265,14 @@ impl QueryEngine for SkipperEngine {
                 for v in victims {
                     self.cache.remove(v);
                 }
-                self.cache.insert(obj, CacheSlot { index, bytes });
-                self.execute_runnable(obj, &mut processing);
+                self.cache.insert(
+                    obj,
+                    CacheSlot {
+                        index: Arc::clone(&index),
+                        bytes,
+                    },
+                );
+                self.execute_runnable(obj, &index, &mut processing);
             }
         }
 
@@ -332,16 +320,14 @@ impl QueryEngine for SkipperEngine {
             } else {
                 use std::hash::{Hash, Hasher};
                 let mut h = std::collections::hash_map::DefaultHasher::new();
-                self.cache
-                    .cached_by_rel(self.tracker.num_relations())
-                    .hash(&mut h);
+                self.cache.cached_by_rel().hash(&mut h);
                 needed.hash(&mut h);
                 assert!(
                     self.stalled_states.insert(h.finish()),
                     "query {} livelocked: the reissue loop revisited an \
                      identical cache/refetch state with no subplan progress \
                      (cache {} B is too small for this arrival order)",
-                    self.spec.name,
+                    self.prepared.spec().name,
                     self.cache.capacity()
                 );
             }
@@ -545,6 +531,102 @@ mod tests {
             EvictionPolicy::MaximalProgress,
             CostModel::paper_calibrated(),
             false,
+        );
+    }
+
+    fn roomy(ds: &Dataset, spec: &QuerySpec, tenant: u16) -> SkipperEngine {
+        SkipperEngine::new(
+            tenant,
+            ds,
+            spec.clone(),
+            ds.objects_for_query(spec) as u64 * GIB,
+            EvictionPolicy::MaximalProgress,
+            CostModel::paper_calibrated(),
+            false,
+        )
+    }
+
+    fn expected(ds: &Dataset, spec: &QuerySpec) -> Vec<(Row, Vec<Value>)> {
+        let tables = ds.materialize_query_tables(spec);
+        let slices: Vec<&[Segment]> = tables.iter().map(|t| t.as_slice()).collect();
+        reference::execute(spec, &slices)
+    }
+
+    #[test]
+    fn specs_filtering_one_table_differently_keep_their_own_indexes() {
+        let (ds, _) = mini();
+        let specs = [tpch::q1(&ds), tpch::q6(&ds), tpch::q14(&ds)];
+        // Twice round, so the second pass runs on warm preparations.
+        for spec in specs.iter().chain(&specs) {
+            let mut engine = roomy(&ds, spec, 0);
+            drive(&mut engine, &ds, semantic);
+            assert!(engine.is_finished());
+            assert!(
+                results_approx_eq(&engine.result(), &expected(&ds, spec), 1e-9),
+                "{} on shared preparations",
+                spec.name
+            );
+        }
+        let q1 = ds.prepare(&specs[0]);
+        let q6 = ds.prepare(&specs[1]);
+        assert!(!Arc::ptr_eq(&q1, &q6));
+        // Q1 and Q6 both read lineitem as relation 0 through different
+        // filters, so their indexes of one segment differ.
+        let (i1, i6) = (
+            q1.shared_index(0, 0).unwrap(),
+            q6.shared_index(0, 0).unwrap(),
+        );
+        assert!(Arc::ptr_eq(i1.segment(), i6.segment()));
+        assert_ne!(i1.len(), i6.len());
+    }
+
+    #[test]
+    fn replaced_segment_in_a_clone_gets_a_fresh_index() {
+        let (ds, spec) = mini();
+        let mut first = roomy(&ds, &spec, 0);
+        drive(&mut first, &ds, semantic);
+
+        // Lineitem segment 1 emptied in a clone (segment 0 keeps the
+        // geometry, so the clone shares the preparation).
+        let li = ds.catalog.index_of("lineitem").unwrap();
+        let rel = spec.tables.iter().position(|t| t == "lineitem").unwrap();
+        let mut clone = ds.clone();
+        let schema = clone.segments[li][1].schema().clone();
+        clone.segments[li][1] = Arc::new(Segment::new(schema, vec![]).unwrap());
+
+        let mut engine = roomy(&clone, &spec, 0);
+        assert!(Arc::ptr_eq(&engine.prepared, &first.prepared));
+        drive(&mut engine, &clone, semantic);
+        let want = expected(&clone, &spec);
+        assert!(results_approx_eq(&engine.result(), &want, 1e-9));
+        assert!(!results_approx_eq(&first.result(), &want, 1e-9));
+        assert!(engine.cache.slot((rel, 1)).index.is_empty());
+        let shared = engine.prepared.shared_index(rel, 1).unwrap();
+        assert!(Arc::ptr_eq(shared.segment(), &ds.segments[li][1]));
+    }
+
+    #[test]
+    fn equal_specs_share_one_preparation_and_its_indexes() {
+        let (ds, spec) = mini();
+        let clone = ds.clone();
+        let mut a = roomy(&ds, &spec, 0);
+        let mut b = roomy(&clone, &spec.clone(), 1);
+        assert!(Arc::ptr_eq(&a.prepared, &b.prepared));
+        drive(&mut a, &ds, semantic);
+        drive(&mut b, &clone, table_major);
+        assert_eq!(a.result(), b.result());
+        for (rel, &count) in a.prepared.seg_counts().iter().enumerate() {
+            for seg in 0..count {
+                let (ia, ib) = (
+                    &a.cache.slot((rel, seg)).index,
+                    &b.cache.slot((rel, seg)).index,
+                );
+                assert!(Arc::ptr_eq(ia, ib), "({rel}, {seg}) indexed twice");
+            }
+        }
+        assert_eq!(
+            a.prepared.built_indexes(),
+            ds.objects_for_query(&spec) as usize
         );
     }
 

@@ -40,13 +40,17 @@ pub const MAX_RELATIONS: usize = 8;
 /// Tracks pending/executed subplans over the segment cross product.
 pub struct SubplanTracker {
     seg_counts: Vec<u32>,
-    /// `alive[r][s]` — segment not pruned.
-    alive: Vec<Vec<bool>>,
+    /// Object `(r, s)` is entry `offsets[r] + s` of the per-object
+    /// vectors below.
+    offsets: Vec<usize>,
+    /// Per object: not pruned.
+    alive: Vec<bool>,
     /// Live segments per relation.
     alive_counts: Vec<u64>,
     executed: FxHashSet<SubplanKey>,
-    /// Executed subplans per object (only fully-alive combos counted).
-    executed_per_object: FxHashMap<RelSeg, u64>,
+    /// Per object: executed subplans containing it (only fully-alive
+    /// combos counted).
+    executed_per_object: Vec<u64>,
 }
 
 impl SubplanTracker {
@@ -65,13 +69,30 @@ impl SubplanTracker {
             assert!(c > 0, "relation with zero segments");
             assert!(c <= u16::MAX as u32, "segment count exceeds 16-bit packing");
         }
+        let mut offsets = Vec::with_capacity(seg_counts.len() + 1);
+        let mut objects = 0;
+        offsets.push(objects);
+        for &c in seg_counts {
+            objects += c as usize;
+            offsets.push(objects);
+        }
         SubplanTracker {
             seg_counts: seg_counts.to_vec(),
-            alive: seg_counts.iter().map(|&c| vec![true; c as usize]).collect(),
+            offsets,
+            alive: vec![true; objects],
             alive_counts: seg_counts.iter().map(|&c| c as u64).collect(),
             executed: FxHashSet::default(),
-            executed_per_object: FxHashMap::default(),
+            executed_per_object: vec![0; objects],
         }
+    }
+
+    /// Entry of `obj` in the per-object vectors.
+    fn slot(&self, (rel, seg): RelSeg) -> usize {
+        assert!(
+            seg < self.seg_counts[rel],
+            "segment {seg} out of range for relation {rel}"
+        );
+        self.offsets[rel] + seg as usize
     }
 
     /// Packs a combination (one segment per relation) into a key.
@@ -102,7 +123,7 @@ impl SubplanTracker {
 
     /// Whether `(rel, seg)` is still alive (not pruned).
     pub fn is_alive(&self, obj: RelSeg) -> bool {
-        self.alive[obj.0][obj.1 as usize]
+        self.alive[self.slot(obj)]
     }
 
     /// Total subplans over live segments (`Π alive_r`).
@@ -138,7 +159,7 @@ impl SubplanTracker {
             .filter(|&(r, _)| r != obj.0)
             .map(|(_, &c)| c)
             .product();
-        others - self.executed_per_object.get(&obj).copied().unwrap_or(0)
+        others - self.executed_per_object[self.slot(obj)]
     }
 
     /// Whether a combination has already executed.
@@ -156,7 +177,7 @@ impl SubplanTracker {
         assert_eq!(combo.len(), self.seg_counts.len());
         for (r, &seg) in combo.iter().enumerate() {
             assert!(
-                self.alive[r][seg as usize],
+                self.is_alive((r, seg)),
                 "executing subplan with pruned segment ({r}, {seg})"
             );
         }
@@ -165,7 +186,8 @@ impl SubplanTracker {
             return false;
         }
         for (r, &seg) in combo.iter().enumerate() {
-            *self.executed_per_object.entry((r, seg)).or_insert(0) += 1;
+            let slot = self.slot((r, seg));
+            self.executed_per_object[slot] += 1;
         }
         true
     }
@@ -176,11 +198,12 @@ impl SubplanTracker {
     /// 0.
     pub fn prune(&mut self, obj: RelSeg) -> u64 {
         let (rel, seg) = obj;
-        if !self.alive[rel][seg as usize] {
+        if !self.is_alive(obj) {
             return 0;
         }
         let eliminated = self.pending_count(obj);
-        self.alive[rel][seg as usize] = false;
+        let slot = self.slot(obj);
+        self.alive[slot] = false;
         self.alive_counts[rel] -= 1;
         // Drop executed combos containing the object so per-object counts
         // stay consistent with the shrunken live space.
@@ -192,12 +215,12 @@ impl SubplanTracker {
             .collect();
         for key in dead {
             self.executed.remove(&key);
-            for (r, s) in Self::unpack(key, self.seg_counts.len()).iter().enumerate() {
-                let cnt = self
-                    .executed_per_object
-                    .get_mut(&(r, *s))
-                    .expect("executed object has a count");
-                *cnt -= 1;
+            for (r, s) in Self::unpack(key, self.seg_counts.len())
+                .into_iter()
+                .enumerate()
+            {
+                let slot = self.slot((r, s));
+                self.executed_per_object[slot] -= 1;
             }
         }
         eliminated
@@ -263,14 +286,14 @@ impl SubplanTracker {
     /// Enumerates the not-yet-executed combinations drawable from the
     /// cache that include `fixed` — the subplans that become runnable
     /// when `fixed` arrives (all other fully-cached combinations were
-    /// runnable earlier and have already executed).
-    pub fn runnable_with(&self, cached: &[Vec<u32>], fixed: RelSeg) -> Vec<Vec<u32>> {
+    /// runnable earlier and have already executed). `out` is cleared and
+    /// receives them back to back, [`SubplanTracker::num_relations`]
+    /// segment ids each, so a reused buffer makes this allocation-free.
+    pub fn runnable_with(&self, cached: &[Vec<u32>], fixed: RelSeg, out: &mut Vec<u32>) {
         assert!(self.is_alive(fixed), "runnable_with on pruned object");
-        let n = self.seg_counts.len();
-        let mut combo = vec![0u32; n];
-        let mut out = Vec::new();
-        self.enumerate(cached, fixed, 0, &mut combo, &mut out);
-        out
+        let mut combo = [0u32; MAX_RELATIONS];
+        out.clear();
+        self.enumerate(cached, fixed, 0, &mut combo[..self.seg_counts.len()], out);
     }
 
     fn enumerate(
@@ -278,12 +301,12 @@ impl SubplanTracker {
         cached: &[Vec<u32>],
         fixed: RelSeg,
         rel: usize,
-        combo: &mut Vec<u32>,
-        out: &mut Vec<Vec<u32>>,
+        combo: &mut [u32],
+        out: &mut Vec<u32>,
     ) {
         if rel == combo.len() {
             if !self.executed.contains(&Self::pack(combo)) {
-                out.push(combo.clone());
+                out.extend_from_slice(combo);
             }
             return;
         }
@@ -306,14 +329,10 @@ impl SubplanTracker {
     pub fn first_pending(&self) -> Option<Vec<u32>> {
         let n = self.seg_counts.len();
         // Odometer over live segments per relation.
-        let live: Vec<Vec<u32>> = self
-            .alive
-            .iter()
-            .map(|segs| {
-                segs.iter()
-                    .enumerate()
-                    .filter(|(_, &a)| a)
-                    .map(|(s, _)| s as u32)
+        let live: Vec<Vec<u32>> = (0..n)
+            .map(|r| {
+                (0..self.seg_counts[r])
+                    .filter(|&s| self.is_alive((r, s)))
                     .collect()
             })
             .collect();
@@ -350,10 +369,10 @@ impl SubplanTracker {
     /// the refetch universe for reissue cycles.
     pub fn pending_objects(&self) -> Vec<RelSeg> {
         let mut out = Vec::new();
-        for (r, segs) in self.alive.iter().enumerate() {
-            for (s, &alive) in segs.iter().enumerate() {
-                let obj = (r, s as u32);
-                if alive && self.pending_count(obj) > 0 {
+        for (r, &count) in self.seg_counts.iter().enumerate() {
+            for s in 0..count {
+                let obj = (r, s);
+                if self.is_alive(obj) && self.pending_count(obj) > 0 {
                     out.push(obj);
                 }
             }
@@ -437,10 +456,12 @@ mod tests {
         t.mark_executed(&[1, 0, 1]);
         let cached = vec![vec![0, 1], vec![0], vec![1]];
         // C.1 arrives: runnable = {<A.1,B.1,C.1>, <A.2,B.1,C.1>}.
-        let runnable = t.runnable_with(&cached, (2, 0));
-        assert_eq!(runnable, vec![vec![0, 0, 0], vec![1, 0, 0]]);
+        let mut runnable = Vec::new();
+        t.runnable_with(&cached, (2, 0), &mut runnable);
+        assert_eq!(runnable, vec![0, 0, 0, 1, 0, 0]);
         // C.3 "arrives" again: both its cached combos already executed.
-        assert!(t.runnable_with(&cached, (2, 1)).is_empty());
+        t.runnable_with(&cached, (2, 1), &mut runnable);
+        assert!(runnable.is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Dataset container and builder.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use skipper_relational::catalog::{Catalog, TableDef, GIB};
+use skipper_relational::prepared::PreparedQuery;
 use skipper_relational::query::QuerySpec;
 use skipper_relational::schema::Schema;
 use skipper_relational::segment::Segment;
@@ -48,6 +49,14 @@ impl TableSpec {
 /// payload to every tenant (the paper's clients each own an identical
 /// copy of the benchmark dataset; sharing the bytes is a memory
 /// optimization, not a semantic change).
+///
+/// A dataset also keeps the queries prepared on it ([`Dataset::prepare`]),
+/// shared with its clones, so every engine running an equal spec reuses
+/// one set of plans and per-segment indexes. Memory bound: one
+/// [`PreparedQuery`] per distinct spec prepared, holding at most one
+/// index per (segment, distinct spec) served — the filter survivors'
+/// positions and one position table per join column, never a row copy —
+/// kept for the lifetime of the dataset and its clones.
 #[derive(Clone)]
 pub struct Dataset {
     /// Dataset name (e.g. `"tpch-sf50"`).
@@ -56,9 +65,33 @@ pub struct Dataset {
     pub catalog: Catalog,
     /// `segments[table][segment]` payloads.
     pub segments: Vec<Vec<Arc<Segment>>>,
+    /// Queries prepared on this dataset or a clone of it.
+    prepared: Arc<Mutex<Vec<Arc<PreparedQuery>>>>,
 }
 
 impl Dataset {
+    /// The preparation of `spec` on this dataset: the one already
+    /// registered for an equal spec over the same geometry, or a new one
+    /// registered now. A shared index serves only the very segment it
+    /// was built over (see [`PreparedQuery::index`]), so a clone whose
+    /// segments were replaced gets fresh indexes for them.
+    pub fn prepare(&self, spec: &QuerySpec) -> Arc<PreparedQuery> {
+        let mut prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(p) = prepared
+            .iter()
+            .find(|p| p.fits(spec, &self.catalog, &self.segments))
+        {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(PreparedQuery::new(
+            spec.clone(),
+            &self.catalog,
+            &self.segments,
+        ));
+        prepared.push(Arc::clone(&p));
+        p
+    }
+
     /// The segments of table `idx`.
     pub fn table_segments(&self, idx: usize) -> &[Arc<Segment>] {
         &self.segments[idx]
@@ -173,6 +206,7 @@ impl DatasetBuilder {
             name: self.name,
             catalog: self.catalog,
             segments: self.segments,
+            prepared: Arc::default(),
         }
     }
 }

@@ -21,6 +21,9 @@
 //!   paper's 1 GB PostgreSQL relation segments stored as Swift objects).
 //! * [`query::QuerySpec`] is a declarative join-query description consumed
 //!   by both engines; [`join_graph`] plans n-ary probe orders over it.
+//! * A [`prepared::PreparedQuery`] holds a spec's plans over one dataset
+//!   and memoizes each segment's filtered hash index, so equal queries
+//!   share that work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +34,7 @@ pub mod expr;
 pub mod hash;
 pub mod join_graph;
 pub mod ops;
+pub mod prepared;
 pub mod query;
 pub mod schema;
 pub mod segment;

@@ -9,6 +9,13 @@
 //! Eviction drops the whole [`SegmentIndex`] and with it its reference to
 //! the segment, which is exactly the paper's "frees space by dropping its
 //! hashtable".
+//!
+//! An index depends only on its segment, the filter and the join
+//! columns, so equal queries over one dataset can share it behind an
+//! `Arc` (see [`crate::prepared`]). Sharing is host-side memoization:
+//! the simulator still charges the scan and build of §4.1 to virtual
+//! time on every delivery, from [`SegmentIndex::stats`] and
+//! [`SegmentIndex::entries`].
 
 use std::sync::Arc;
 
@@ -97,6 +104,11 @@ impl SegmentIndex {
         }
     }
 
+    /// The segment this index was built over.
+    pub fn segment(&self) -> &Arc<Segment> {
+        &self.segment
+    }
+
     /// Rows surviving the filter, in segment order.
     pub fn rows(&self) -> impl Iterator<Item = &Row> + '_ {
         let rows = self.segment.rows();
@@ -151,6 +163,12 @@ impl SegmentIndex {
     /// to charge hash-build CPU cost.
     pub fn entries(&self) -> usize {
         self.columns.len() * self.survivors.len()
+    }
+}
+
+impl AsRef<SegmentIndex> for SegmentIndex {
+    fn as_ref(&self) -> &SegmentIndex {
+        self
     }
 }
 

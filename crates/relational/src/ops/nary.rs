@@ -117,53 +117,68 @@ fn descend<'a>(
     bound[step.rel] = None;
 }
 
+/// Most relations a rooted execution binds. Its per-path buffers live
+/// on the stack, so a call allocates nothing.
+pub const MAX_ROOTED_RELATIONS: usize = 8;
+
 /// Executes the *arrival-rooted* join of symmetric-hash MJoin: the rows
-/// of the newly arrived segment (`candidates[plan.driver]`, a single
-/// entry) probe outward into the union of cached candidate segments of
-/// every other relation.
+/// of the newly arrived segment `root` (its id and index) probe outward
+/// into the union of cached candidate segments of every other relation.
 ///
 /// `plan` must be rooted at the arriving relation
 /// ([`ProbePlan::plan_rooted`]). `candidates[r]` lists `(segment id,
-/// index)` pairs eligible for relation `r`. Each emitted row's segment
-/// combination is checked against `already_executed` so that refetched
-/// objects (evicted and re-delivered in a later reissue cycle) never
-/// double-count results of subplans that ran in an earlier cycle.
+/// index)` pairs eligible for relation `r`; the root relation's own list
+/// is not read. Each emitted row's segment combination is checked
+/// against `already_executed` so that refetched objects (evicted and
+/// re-delivered in a later reissue cycle) never double-count results of
+/// subplans that ran in an earlier cycle.
 ///
 /// Probe accounting is union-table semantics: one probe per bound prefix
 /// per step (a production MJoin keeps one logical hash table per relation
 /// with per-segment arenas, so lookup cost does not scale with the number
 /// of cached segments).
-pub fn execute_rooted(
+///
+/// # Panics
+/// Panics on more than [`MAX_ROOTED_RELATIONS`] relations.
+pub fn execute_rooted<I: AsRef<SegmentIndex>>(
     plan: &ProbePlan,
-    candidates: &[Vec<(u32, &SegmentIndex)>],
+    root: (u32, &SegmentIndex),
+    candidates: &[Vec<(u32, I)>],
     already_executed: &dyn Fn(&[u32]) -> bool,
     sink: &mut dyn FnMut(&[&Row]),
 ) -> JoinWork {
     let n = candidates.len();
+    assert!(
+        n <= MAX_ROOTED_RELATIONS,
+        "rooted execution binds at most {MAX_ROOTED_RELATIONS} relations, got {n}"
+    );
     let mut work = JoinWork::default();
-    // Any relation with no cached candidate ⇒ nothing runnable.
-    if candidates.iter().any(|c| c.is_empty()) {
+    // Any other relation with no cached candidate ⇒ nothing runnable.
+    if candidates
+        .iter()
+        .enumerate()
+        .any(|(r, c)| r != plan.driver && c.is_empty())
+    {
         return work;
     }
-    debug_assert_eq!(
-        candidates[plan.driver].len(),
-        1,
-        "rooted execution starts from exactly the arriving segment"
-    );
-    let mut bound: Vec<Option<&Row>> = vec![None; n];
-    let mut emit: Vec<&Row> = Vec::with_capacity(n);
-    let mut combo: Vec<u32> = vec![0; n];
-    let (root_seg, root_idx) = candidates[plan.driver][0];
+    let (root_seg, root_idx) = root;
+    let Some(first) = root_idx.rows().next() else {
+        return work;
+    };
+    // `bound[r]` is relation `r`'s row on the current path. The plan binds
+    // every probe source before a step reads it, so the placeholder in a
+    // slot not yet bound is never read.
+    let mut bound = [first; MAX_ROOTED_RELATIONS];
+    let mut combo = [0u32; MAX_ROOTED_RELATIONS];
     combo[plan.driver] = root_seg;
     for row in root_idx.rows() {
         work.driver_tuples += 1;
-        bound[plan.driver] = Some(row);
+        bound[plan.driver] = row;
         descend_rooted(
             plan,
             candidates,
-            &mut bound,
-            &mut emit,
-            &mut combo,
+            &mut bound[..n],
+            &mut combo[..n],
             0,
             &mut work,
             already_executed,
@@ -174,12 +189,11 @@ pub fn execute_rooted(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn descend_rooted<'a>(
+fn descend_rooted<'a, I: AsRef<SegmentIndex>>(
     plan: &ProbePlan,
-    candidates: &[Vec<(u32, &'a SegmentIndex)>],
-    bound: &mut Vec<Option<&'a Row>>,
-    emit: &mut Vec<&'a Row>,
-    combo: &mut Vec<u32>,
+    candidates: &'a [Vec<(u32, I)>],
+    bound: &mut [&'a Row],
+    combo: &mut [u32],
     depth: usize,
     work: &mut JoinWork,
     already_executed: &dyn Fn(&[u32]) -> bool,
@@ -187,34 +201,33 @@ fn descend_rooted<'a>(
 ) {
     if depth == plan.steps.len() {
         if !already_executed(combo) {
-            emit_bound(bound, emit, work, sink);
+            work.emitted += 1;
+            sink(bound);
         }
         return;
     }
     let step = &plan.steps[depth];
-    let source = bound[step.bound_source.rel].expect("probe source bound");
-    let key = source.get(step.bound_source.col);
+    let key = bound[step.bound_source.rel].get(step.bound_source.col);
     if key.is_null() {
         return;
     }
     work.probes += 1; // union-table semantics: one logical probe per step
-    for &(seg, idx) in &candidates[step.rel] {
+    for (seg, idx) in &candidates[step.rel] {
+        let idx = idx.as_ref();
         for &pos in idx.probe(step.key_col, key) {
             let candidate = idx.row(pos);
             let ok = step.extra_checks.iter().all(|(own_col, bound_col)| {
-                let other = bound[bound_col.rel].expect("check source bound");
-                candidate.get(*own_col) == other.get(bound_col.col)
+                candidate.get(*own_col) == bound[bound_col.rel].get(bound_col.col)
             });
             if !ok {
                 continue;
             }
-            bound[step.rel] = Some(candidate);
-            combo[step.rel] = seg;
+            bound[step.rel] = candidate;
+            combo[step.rel] = *seg;
             descend_rooted(
                 plan,
                 candidates,
                 bound,
-                emit,
                 combo,
                 depth + 1,
                 work,
@@ -223,7 +236,6 @@ fn descend_rooted<'a>(
             );
         }
     }
-    bound[step.rel] = None;
 }
 
 #[cfg(test)]
@@ -373,10 +385,11 @@ mod tests {
         let s = spec(2, vec![JoinCond::new(0, 0, 1, 0)], 0);
         // Root the plan at relation 1 (the arriving side).
         let rooted = crate::join_graph::ProbePlan::plan_rooted(&s, 1).unwrap();
-        let candidates: Vec<Vec<(u32, &SegmentIndex)>> =
-            vec![vec![(0, &a1), (1, &a2)], vec![(7, &b)]];
+        let candidates: Vec<Vec<(u32, &SegmentIndex)>> = vec![vec![(0, &a1), (1, &a2)], vec![]];
         let mut rows = 0;
-        let work = execute_rooted(&rooted, &candidates, &|_| false, &mut |_| rows += 1);
+        let work = execute_rooted(&rooted, (7, &b), &candidates, &|_| false, &mut |_| {
+            rows += 1
+        });
         // b=2 matches a1 and a2 (one row each); b=3 matches a2; b=9 none.
         assert_eq!(rows, 3);
         assert_eq!(work.driver_tuples, 3);
@@ -392,14 +405,17 @@ mod tests {
         let b = idx(&[("k", DataType::Int)], vec![row![2i64]], &[0]);
         let s = spec(2, vec![JoinCond::new(0, 0, 1, 0)], 0);
         let rooted = crate::join_graph::ProbePlan::plan_rooted(&s, 1).unwrap();
-        let candidates: Vec<Vec<(u32, &SegmentIndex)>> =
-            vec![vec![(0, &a1), (1, &a2)], vec![(5, &b)]];
+        let candidates: Vec<Vec<(u32, &SegmentIndex)>> = vec![vec![(0, &a1), (1, &a2)], vec![]];
         // Pretend combination {a seg 0, b seg 5} already ran in an
         // earlier reissue cycle.
         let mut rows = 0;
-        let work = execute_rooted(&rooted, &candidates, &|combo| combo[0] == 0, &mut |_| {
-            rows += 1
-        });
+        let work = execute_rooted(
+            &rooted,
+            (5, &b),
+            &candidates,
+            &|combo| combo[0] == 0,
+            &mut |_| rows += 1,
+        );
         assert_eq!(rows, 1, "only the a2 combination may emit");
         assert_eq!(work.emitted, 1);
     }
@@ -409,8 +425,8 @@ mod tests {
         let b = idx(&[("k", DataType::Int)], vec![row![1i64]], &[0]);
         let s = spec(2, vec![JoinCond::new(0, 0, 1, 0)], 0);
         let rooted = crate::join_graph::ProbePlan::plan_rooted(&s, 1).unwrap();
-        let candidates: Vec<Vec<(u32, &SegmentIndex)>> = vec![vec![], vec![(0, &b)]];
-        let work = execute_rooted(&rooted, &candidates, &|_| false, &mut |_| {
+        let candidates: Vec<Vec<(u32, &SegmentIndex)>> = vec![vec![], vec![]];
+        let work = execute_rooted(&rooted, (0, &b), &candidates, &|_| false, &mut |_| {
             panic!("no rows expected")
         });
         assert_eq!(work, JoinWork::default());

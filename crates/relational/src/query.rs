@@ -11,6 +11,7 @@
 //! so results can be compared row-for-row.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::hash::FxHashMap;
@@ -181,7 +182,10 @@ impl AggSpec {
 /// A complete join query: tables, per-table filters, equi-join conditions,
 /// the designated driver (fact) relation, the baseline's pull order, and
 /// the aggregation on top.
-#[derive(Clone, Debug)]
+///
+/// Equality is structural, so equal specs share one
+/// [`PreparedQuery`](crate::prepared::PreparedQuery) per dataset.
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuerySpec {
     /// Query name (e.g. `"tpch-q12"`).
     pub name: String,
@@ -317,8 +321,9 @@ impl fmt::Display for QuerySpec {
 /// `update` is called once per joined output row; `finish` renders the
 /// final result sorted by group key for deterministic comparison.
 pub struct Aggregator {
-    group_by: Vec<QualifiedCol>,
-    aggs: Vec<AggSpec>,
+    /// Shared with every [`Aggregator::fresh`] copy.
+    group_by: Arc<[QualifiedCol]>,
+    aggs: Arc<[AggSpec]>,
     groups: FxHashMap<Row, Vec<AggState>>,
     rows_seen: u64,
     /// Reused group-key buffer; a key is copied into a [`Row`] only when
@@ -393,11 +398,23 @@ impl Aggregator {
     /// Creates an accumulator for `spec`'s grouping and aggregates.
     pub fn for_query(spec: &QuerySpec) -> Self {
         Aggregator {
-            group_by: spec.group_by.clone(),
-            aggs: spec.aggregates.clone(),
+            group_by: spec.group_by.as_slice().into(),
+            aggs: spec.aggregates.as_slice().into(),
             groups: FxHashMap::default(),
             rows_seen: 0,
             key: Vec::with_capacity(spec.group_by.len()),
+        }
+    }
+
+    /// An empty accumulator for the same query. It shares the grouping
+    /// and aggregate lists instead of cloning them from the spec.
+    pub fn fresh(&self) -> Self {
+        Aggregator {
+            group_by: Arc::clone(&self.group_by),
+            aggs: Arc::clone(&self.aggs),
+            groups: FxHashMap::default(),
+            rows_seen: 0,
+            key: Vec::with_capacity(self.group_by.len()),
         }
     }
 
@@ -417,7 +434,7 @@ impl Aggregator {
                 .entry(Row::new(self.key.clone()))
                 .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect()),
         };
-        for (state, agg) in states.iter_mut().zip(&self.aggs) {
+        for (state, agg) in states.iter_mut().zip(self.aggs.iter()) {
             state.update(agg.expr.eval(rows));
         }
     }

@@ -145,7 +145,7 @@ fn tracker_matches_brute_force() {
     }
 }
 
-/// `runnable_with` returns exactly the unexecuted cache-resident
+/// `runnable_with` lists exactly the unexecuted cache-resident
 /// combos containing the fixed object.
 #[test]
 fn runnable_with_matches_brute_force() {
@@ -183,7 +183,12 @@ fn runnable_with_matches_brute_force() {
             cached[0].push(0);
             cached[0].sort_unstable();
         }
-        let got: HashSet<Vec<u32>> = tracker.runnable_with(&cached, fixed).into_iter().collect();
+        let mut runnable = Vec::new();
+        tracker.runnable_with(&cached, fixed, &mut runnable);
+        let got: HashSet<Vec<u32>> = runnable
+            .chunks_exact(seg_counts.len())
+            .map(<[u32]>::to_vec)
+            .collect();
         let expect: HashSet<Vec<u32>> = model
             .pending()
             .into_iter()
